@@ -55,7 +55,8 @@ def _probe_rate(secs: float = 3.0, cores: int = 1) -> float:
     distinct pinned cores — the window-health canary (no Ray, no IO).
     cores=1 detects per-core frequency throttling; cores>1 additionally
     detects aggregate burst-budget depletion that leaves a lone core
-    unaffected."""
+    unaffected.  Pins only to cores this process may run on, so on a
+    box with fewer than ``cores`` of them the probe uses all it has."""
     code = (
         "import time\n"
         f"t0=time.time(); n=0\n"
@@ -70,7 +71,7 @@ def _probe_rate(secs: float = 3.0, cores: int = 1) -> float:
             text=True,
             preexec_fn=(lambda c=c: os.sched_setaffinity(0, {c})),
         )
-        for c in range(cores)
+        for c in sorted(os.sched_getaffinity(0))[:cores]
     ]
     return sum(int(p.communicate()[0]) for p in procs) / secs
 

@@ -172,12 +172,20 @@ def parquet_token_estimate(
 ) -> int:
     """Estimated token count of a text column from its uncompressed
     byte size in the parquet metadata — the row estimate for stages
-    whose shuffle rows are per-token/per-gram rather than per-row."""
-    md = pq.ParquetFile(path).metadata
-    total = 0
-    for rg in range(md.num_row_groups):
-        g = md.row_group(rg)
-        for i in range(g.num_columns):
-            if g.column(i).path_in_schema == column:
-                total += g.column(i).total_uncompressed_size
-    return max(md.num_rows, total // max(1, bytes_per_token))
+    whose shuffle rows are per-token/per-gram rather than per-row.
+    ``path`` is one parquet file or a directory of them."""
+    files = (
+        sorted(os.path.join(path, f) for f in os.listdir(path)
+               if f.endswith(".parquet"))
+        if os.path.isdir(path) else [path]
+    )
+    rows = total = 0
+    for f in files:
+        md = pq.ParquetFile(f).metadata
+        rows += md.num_rows
+        for rg in range(md.num_row_groups):
+            g = md.row_group(rg)
+            for i in range(g.num_columns):
+                if g.column(i).path_in_schema == column:
+                    total += g.column(i).total_uncompressed_size
+    return max(rows, total // max(1, bytes_per_token))

@@ -1192,30 +1192,27 @@ def q_zscore_outliers(sf_dir: str):
         stats[str(r["event_type"])] = (mean, math.sqrt(var))
     stats_ref = ray.put(stats)
 
-    class Score:
-        def __init__(self):
-            self.stats = ray.get(stats_ref)
+    def score(t: pa.Table) -> pa.Table:
+        stats = ray.get(stats_ref)
+        et = t["event_type"].to_numpy(zero_copy_only=False)
+        c = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100.0)
+        mean = np.array([m for m, _ in stats.values()])
+        std = np.array([s for _, s in stats.values()])
+        ei = pd.Index(list(stats)).get_indexer(et)  # vectorized
+        z = (c - mean[ei]) / std[ei]
+        keep = np.abs(z) > ZSCORE_CUT
+        return pa.table(
+            {
+                "event_id": pc.cast(t["event_id"], pa.int64()).filter(
+                    pa.array(keep)
+                ),
+                "event_type": t["event_type"].filter(pa.array(keep)),
+                "value": t["value"].filter(pa.array(keep)),
+                "z": pa.array(np.round(z[keep], 6), pa.float64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            et = t["event_type"].to_numpy(zero_copy_only=False)
-            c = np.rint(t["value"].to_numpy(zero_copy_only=False) * 100.0)
-            mean = np.array([m for m, _ in self.stats.values()])
-            std = np.array([s for _, s in self.stats.values()])
-            ei = pd.Index(list(self.stats)).get_indexer(et)  # vectorized
-            z = (c - mean[ei]) / std[ei]
-            keep = np.abs(z) > ZSCORE_CUT
-            return pa.table(
-                {
-                    "event_id": pc.cast(t["event_id"], pa.int64()).filter(
-                        pa.array(keep)
-                    ),
-                    "event_type": t["event_type"].filter(pa.array(keep)),
-                    "value": t["value"].filter(pa.array(keep)),
-                    "z": pa.array(np.round(z[keep], 6), pa.float64()),
-                }
-            )
-
-    return ev.map_batches(Score, batch_format="pyarrow", concurrency=2)
+    return ev.map_batches(score, batch_format="pyarrow")
 
 
 SQL_ZSCORE_OUTLIERS = f"""

@@ -136,15 +136,6 @@ def filter_rdd(ds, pred: Callable[[str], bool]):
     return distinct(ds.map_batches(body, batch_format="pyarrow"))
 
 
-def for_each(ds, effect_cls, **map_batches_kwargs):
-    """#9 — side-effect per element via an actor-pool stage; returns
-    per-batch metric rows (Worker.java:113-148 → actor-pool mapping)."""
-    return ds.map_batches(
-        effect_cls, batch_format="pyarrow",
-        **{"concurrency": 2, **map_batches_kwargs},
-    )
-
-
 def distinct(ds):
     """#10 (Worker.java:708-754): value-keyed collapse."""
 

@@ -1,13 +1,15 @@
 """Multimodal column pipelines (task-spec addition).
 
 Image/audio/video payloads are opaque ``binary`` columns with typed
-metadata; decode / feature-extract / resize / frame-sample run as
-actor-pool ``map_batches`` stages.  The actual codecs are NOT available
-in this environment (no PIL/ffmpeg), so the decode kernel is a
-clearly-marked deterministic fake behind the same interface — the
-Ray-side plumbing (schema, batch sizing for large binary rows, actor
-signature, output layout) is real and tested, and swapping in a real
-decoder is a one-function change per stage.
+metadata; decode / feature-extract / resize / frame-sample are
+callable stage classes whose instances run as task ``map_batches``
+stages (their setup is microseconds, far below an actor pool's
+start-up).  The actual codecs are NOT available in this
+environment (no PIL/ffmpeg), so the decode kernel is a clearly-marked
+deterministic fake behind the same interface — the Ray-side plumbing
+(schema, batch sizing for large binary rows, callable signature,
+output layout) is real and tested, and swapping in a real decoder is a
+one-function change per stage.
 
 Source of media rows: the crawl output's interleaved ``spans`` — every
 ``kind="media"`` span becomes a media row whose synthetic payload is
@@ -101,9 +103,9 @@ def decode_image(payload: bytes) -> "np.ndarray":
 
 
 class MediaFeatureExtractor:
-    """Actor-pool stage: decode + feature-extract per media row.
+    """Map stage: decode + feature-extract per media row.
 
-    Setup (the 'model load') happens once per actor in ``__init__``;
+    Setup (the 'model load') happens once per instance in ``__init__``;
     batches are kept small because binary payload rows are wide
     (ray_guide 'Memory-aware').  Output: FEATURE_DIM float features +
     basic stats per row.
@@ -141,7 +143,7 @@ class MediaFeatureExtractor:
 
 
 class ImageResizer:
-    """Actor-pool stage: decode + resize image rows to a fixed target.
+    """Map stage: decode + resize image rows to a fixed target.
 
     The resize kernel is block-mean downsampling over the (fake-)
     decoded pixel array — a real implementation swaps in
@@ -151,7 +153,7 @@ class ImageResizer:
     treat resized rows exactly like fetched ones."""
 
     def __init__(self, target: tuple[int, int] = (8, 8)):
-        self.target = target  # set once per actor (the 'model load')
+        self.target = target  # set once per instance (the 'model load')
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         th, tw = self.target
@@ -193,7 +195,7 @@ class ImageResizer:
 
 
 class FrameSampler:
-    """Actor-pool stage for video rows: deterministic frame sampling
+    """Map stage for video rows: deterministic frame sampling
     (STUB decode — emits frame indices + per-frame fake features)."""
 
     def __init__(self, n_frames: int = 4):
@@ -224,7 +226,7 @@ class FrameSampler:
 
 
 def q_media_features(sf_dir: str) -> pa.Table:
-    """Crawl → media spans → feature extraction (actor pool).
+    """Crawl → media spans → feature extraction (task stage).
     Rows-only driver check; plumbing tested in tests/test_multimodal.py."""
     from .search_pipeline import crawl_corpus
 
@@ -232,11 +234,9 @@ def q_media_features(sf_dir: str) -> pa.Table:
     ds = ray.data.from_arrow(pages.select(["url_hash", "spans"]))
     media = ds.map_batches(media_rows_from_spans, batch_format="pyarrow")
     out = media.map_batches(
-        MediaFeatureExtractor,
+        MediaFeatureExtractor(),
         batch_format="pyarrow",
         batch_size=64,  # wide binary rows → small batches
-        concurrency=2,
-        max_restarts=0,  # stateless-idempotent stage; see textpipe note
     )
     parts = list(out.iter_batches(batch_format="pyarrow", batch_size=None))
     if not parts:

@@ -1330,24 +1330,20 @@ def q_join_semi(sf_dir: str):
     )
     keys_ref = ray.put(keys)
 
-    class Probe:
-        def __init__(self):
-            self.value_set = pa.array(ray.get(keys_ref), pa.int64())
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            keep = pc.is_in(pc.cast(t["o_custkey"], pa.int64()),
-                            value_set=self.value_set)
-            t = t.filter(keep)
-            return pa.table(
-                {
-                    "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
-                    "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
-                    "o_totalprice": t["o_totalprice"],
-                }
-            )
+    def probe(t: pa.Table) -> pa.Table:
+        keep = pc.is_in(pc.cast(t["o_custkey"], pa.int64()),
+                        value_set=pa.array(ray.get(keys_ref), pa.int64()))
+        t = t.filter(keep)
+        return pa.table(
+            {
+                "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
+                "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
+                "o_totalprice": t["o_totalprice"],
+            }
+        )
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
-    return orders.map_batches(Probe, batch_format="pyarrow", concurrency=2)
+    return orders.map_batches(probe, batch_format="pyarrow")
 
 
 SQL_JOIN_SEMI = f"""
@@ -2026,25 +2022,19 @@ def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None):
 
     B = bucket_count(parquet_rows(f"{sf_dir}/lineitem.parquet"))
 
-    class Probe:
-        def __init__(self):
-            self.bits = ray.get(bits_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            keys = t["l_partkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            t = t.filter(pa.array(_bloom_maybe(keys, self.bits, m_bits)))
-            k = pc.cast(t["l_partkey"], pa.int64())
-            return pa.table(
-                {
-                    "bucket": pc.cast(pc.bit_wise_and(k, pa.scalar(B - 1)),
-                                      pa.int32()),
-                    "l_partkey": k,
-                    "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
-                    "l_linenumber": pc.cast(t["l_linenumber"], pa.int64()),
-                }
-            )
+    def probe(t: pa.Table) -> pa.Table:
+        keys = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        t = t.filter(pa.array(_bloom_maybe(keys, ray.get(bits_ref), m_bits)))
+        k = pc.cast(t["l_partkey"], pa.int64())
+        return pa.table(
+            {
+                "bucket": pc.cast(pc.bit_wise_and(k, pa.scalar(B - 1)),
+                                  pa.int32()),
+                "l_partkey": k,
+                "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                "l_linenumber": pc.cast(t["l_linenumber"], pa.int64()),
+            }
+        )
 
     def tag_build(t: pa.Table) -> pa.Table:
         k = pc.cast(t["p_partkey"], pa.int64())
@@ -2060,7 +2050,7 @@ def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None):
 
     survivors = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"]
-    ).map_batches(Probe, batch_format="pyarrow", concurrency=2)
+    ).map_batches(probe, batch_format="pyarrow")
     keys_tagged = build.map_batches(tag_build, batch_format="pyarrow")
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:

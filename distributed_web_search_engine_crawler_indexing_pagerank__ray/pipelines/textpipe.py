@@ -382,12 +382,9 @@ LEFT JOIN qual q USING (doc_id)
 
 
 class TextStats:
-    """Actor-pool stage: full quality metrics + language ID + BPE-ish
-    token count + rolling-hash fingerprint (stateful setup: compiled
-    regexes + stopword set amortized per actor)."""
-
-    def __init__(self):
-        pass  # kernels precompile at module import
+    """Task stage: full quality metrics + language ID + BPE-ish token
+    count + rolling-hash fingerprint.  Stateless (the kernels compile
+    their regexes at import), so an instance runs as a plain task."""
 
     def __call__(self, t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
@@ -413,17 +410,11 @@ class TextStats:
 
 
 def q_text_stats(sf_dir: str):
-    """Language-ID + quality + fingerprint, as an actor-pool stage.
-    EXACT, and SQL-oracle-checked (sql_text_stats); also unit-tested
-    against the pure kernels."""
-    # max_restarts=0: the MapWorker holds its transform in the object
-    # store, and a restartable actor whose ctor args were lost would
-    # fail noisily (ray#53727); the stage is stateless-idempotent, so
-    # task-level retry of a fresh pool is the right recovery, not actor
-    # restart — and the bench tail stays clean.
+    """Language-ID + quality + fingerprint, as a task stage fused into
+    the read.  EXACT, and SQL-oracle-checked (sql_text_stats); also
+    unit-tested against the pure kernels."""
     return _docs(sf_dir).map_batches(
-        TextStats, batch_format="pyarrow", batch_size=512, concurrency=2,
-        max_restarts=0,
+        TextStats(), batch_format="pyarrow", batch_size=512
     )
 
 
@@ -897,31 +888,28 @@ def q_minmax_quality(sf_dir: str):
     }
     small = ray.put(table)
 
-    class Normalize:
-        def __init__(self):
-            self.table = ray.get(small)
+    def normalize(t: pa.Table) -> pa.Table:
+        table = ray.get(small)
+        langs = t["lang"].to_pylist()
+        lo = np.array([table[x][0] for x in langs], np.int64)
+        hi = np.array([table[x][1] for x in langs], np.int64)
+        x = t["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
+        span = hi - lo
+        mm = np.where(
+            span > 0,
+            (x - lo) * 1_000_000 // np.where(span > 0, span, 1),
+            0,
+        ).astype(np.int64)
+        return pa.table(
+            {
+                "doc_id": t["doc_id"],
+                "lang": t["lang"],
+                "n_tokens": t["n_tokens"],
+                "mm_ppm": pa.array(mm),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            langs = t["lang"].to_pylist()
-            lo = np.array([self.table[x][0] for x in langs], np.int64)
-            hi = np.array([self.table[x][1] for x in langs], np.int64)
-            x = t["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
-            span = hi - lo
-            mm = np.where(
-                span > 0,
-                (x - lo) * 1_000_000 // np.where(span > 0, span, 1),
-                0,
-            ).astype(np.int64)
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "lang": t["lang"],
-                    "n_tokens": t["n_tokens"],
-                    "mm_ppm": pa.array(mm),
-                }
-            )
-
-    return counts.map_batches(Normalize, batch_format="pyarrow", concurrency=2)
+    return counts.map_batches(normalize, batch_format="pyarrow")
 
 
 SQL_MINMAX_QUALITY = r"""

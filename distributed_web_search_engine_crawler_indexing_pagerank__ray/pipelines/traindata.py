@@ -1000,22 +1000,21 @@ FROM contrib GROUP BY doc_id, dl
 """
 
 
-# -- batched model inference (actor-pool stage) -------------------------------
+# -- batched model inference (task stage) -------------------------------------
 
 MODEL_WEIGHT_MOD = 1000  # md5-derived per-word weight domain
 MODEL_SCORE_MICRO = 1_000_000  # fixed-point output scale
 
 
 class DocScorerModel:
-    """Actor-pool batched-inference stage — the pattern every
-    model-scoring pipeline stage in this engine follows: the "model"
-    is set up ONCE per actor in ``__init__`` (tokenizer + a weight
-    memo that persists and grows across batches, standing in for a
-    real classifier / reward model whose weights a real deployment
-    would load here), and ``__call__`` scores a whole Arrow batch
-    vectorized.  Passed as a CLASS to ``map_batches(...,
-    concurrency=N)`` so Ray builds an actor pool and amortizes the
-    setup (ray_guide "Stateful stages are actor pools").
+    """Batched-inference stage: the "model" is set up in ``__init__``
+    (a weight memo that grows across the batches of one task, standing
+    in for a real classifier / reward model), and ``__call__`` scores a
+    whole Arrow batch vectorized.  The stand-in's setup is free, so an
+    INSTANCE is passed to ``map_batches`` and runs as a task fused into
+    the read.  An actor pool pays only when per-process setup (a real
+    model load) costs more than starting the pool; a real model would
+    pass the class with ``concurrency=N``.
 
     The stand-in model is deterministic and ORACLE-RECOMPUTABLE: each
     word's weight is ``md5(word) % 1000`` (first 8 bytes big-endian),
@@ -1023,7 +1022,7 @@ class DocScorerModel:
     ``(sum_w * 10^6) // (1000 * n_tokens)`` — all-integer, so the
     distributed result is bit-equal to the SQL no matter the batch
     split.  Swapping in a real model changes ``__init__``/`_weigh`
-    only; the Ray plumbing (schema, batching, actor signature) is
+    only; the Ray plumbing (schema, batching, callable signature) is
     exactly what a real scorer uses."""
 
     def __init__(self) -> None:
@@ -1064,16 +1063,11 @@ class DocScorerModel:
 
 
 def q_model_score(sf_dir: str):
-    """Score every document with the actor-pool model stage — shuffle-
-    free, embarrassingly parallel; ``concurrency=2`` builds the actor
-    pool even on the 4-cpu test session, and per-stage ``batch_size``
-    bounds each inference call the way a real GPU/CPU scorer would."""
+    """Score every document with the model stage — shuffle-free,
+    embarrassingly parallel; per-stage ``batch_size`` bounds each
+    inference call the way a real GPU/CPU scorer would."""
     return _docs(sf_dir).map_batches(
-        DocScorerModel,
-        concurrency=2,
-        batch_size=2048,
-        batch_format="pyarrow",
-        max_restarts=0,  # stateless-idempotent stage; see textpipe note
+        DocScorerModel(), batch_size=2048, batch_format="pyarrow"
     )
 
 
@@ -1833,15 +1827,16 @@ def q_source_divergence(sf_dir: str):
     sc = docs.map_batches(src_counts, batch_format="pyarrow")
 
     def kl_bucket(g: pd.DataFrame) -> pa.Table:
-        # c_w = corpus count of each word — complete inside this bucket
-        c = g["c"].to_numpy(np.int64)
-        cw = pd.Series(c).groupby(g["word"].to_numpy()).sum()
-        lnr = np.log(c.astype(np.float64)) - np.log(
-            cw.loc[g["word"]].to_numpy(np.float64)
-        )
+        # rows are per-block partial (source, word) counts: merge them
+        # before the log, then c_w = corpus count of each word — complete
+        # inside this bucket
+        sw = g.groupby(["source", "word"], as_index=False, sort=False)["c"].sum()
+        c = sw["c"].to_numpy(np.int64)
+        cw = sw.groupby("word")["c"].transform("sum").to_numpy(np.float64)
+        lnr = np.log(c.astype(np.float64)) - np.log(cw)
         q = np.floor(lnr * DSIR_GRID + 0.5).astype(np.int64)
         out = (
-            pd.DataFrame({"source": g["source"], "n": c, "p": c * q})
+            pd.DataFrame({"source": sw["source"], "n": c, "p": c * q})
             .groupby("source", as_index=False)
             .sum()
         )

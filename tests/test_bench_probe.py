@@ -36,6 +36,13 @@ def test_probe_rate_positive(bench):
     assert rate > 0
 
 
+def test_probe_rate_more_cores_than_available(bench):
+    # the probe pins to cores this process may use; asking for more
+    # than exist must measure on those rather than fail in preexec_fn
+    rate = bench._probe_rate(secs=0.2, cores=len(os.sched_getaffinity(0)) + 7)
+    assert rate > 0
+
+
 def test_probe_rate_multicore_aggregates(bench):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs >=2 cores")

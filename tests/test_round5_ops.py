@@ -157,6 +157,32 @@ def test_source_divergence_matches_scalar_sim(tmp_path):
         assert float(out.loc[src, "kl"]) >= 0.0  # KL is non-negative
 
 
+def test_source_divergence_multi_block_matches_duckdb(tmp_path):
+    """Input split over several parquet files reaches the bucket stage
+    as per-block partial (source, word) counts; they must be merged
+    before the log, so the answer equals the SQL oracle's."""
+    import duckdb
+
+    docs = pq.read_table("/root/testdata/sf0.01/documents.parquet")
+    part_dir = tmp_path / "documents.parquet"
+    part_dir.mkdir()
+    step = -(-docs.num_rows // 3)
+    for i in range(3):
+        pq.write_table(docs.slice(i * step, step), str(part_dir / f"part-{i}.parquet"))
+
+    out = _to_df(traindata.q_source_divergence(str(tmp_path)))
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{part_dir}/*.parquet')"
+    )
+    sq = con.execute(traindata.SQL_SOURCE_DIVERGENCE).df()
+    a = out.set_index("source").sort_index()
+    b = sq.set_index("source").sort_index()
+    assert list(a.index) == list(b.index)
+    assert (a["n_tokens"].to_numpy() == b["n_tokens"].to_numpy()).all()
+    assert np.allclose(a["kl"].to_numpy(), b["kl"].to_numpy(), atol=1e-9)
+
+
 def test_order_count_distribution_zero_bin(tmp_path):
     """Customers with no orders land in the c_count=0 bin; the
     histogram is exact and sorted (custdist DESC, c_count DESC)."""
