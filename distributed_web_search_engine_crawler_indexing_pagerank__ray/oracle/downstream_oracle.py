@@ -169,10 +169,19 @@ def query_oracle(
     tfidf: dict[str, dict],
     pageranks: dict[str, dict],
     page_size: int = 10,
+    tfidf_completion: float = 1.0,
+    lat: float | None = None,
+    lon: float | None = None,
 ) -> list[dict]:
-    """Q1–Q7 serving-path oracle (``ResultPageHandler.java:95-223``):
-    tokenize → spellcheck → AND-intersect postings → score → sort →
-    title-dedup → first page."""
+    """Q1–Q7 and Q9 serving-path oracle (``ResultPageHandler.java:95-223``):
+    tokenize → spellcheck → AND-intersect postings → score (tf part
+    scaled by an in-flight build's completion, geo boost by the
+    bounding-box city of ``lat``/``lon``) → sort → title-dedup → first
+    page."""
+    from ..pipelines.query import compute_geo_boost, infer_city_keyword
+
+    city = infer_city_keyword(lat, lon)
+    city_kw = city.lower() if city else None
     words = query_tokens(query)
     dictionary = sorted(index)
     corrected = []
@@ -204,11 +213,19 @@ def query_oracle(
         m = pageranks.get(ref_hash(url))
         pr = m["pagerank"] if m else 0.1
         title = (m["title"] if m else url) or url
+        snippet = m["snippet"] if m else "..."
         pr_score = math.log(1.0 + max(pr, 0.0))
+        tf_part = max(tf_avg, 0.0)
+        if tfidf_completion < 1.0:  # Q6, ResultPageHandler.java:128-131
+            tf_part *= tfidf_completion
         lt, lu = title.lower(), url.lower()
         tmatch = sum(1 for w in words if w in lt) / len(words)
         umatch = sum(1 for w in words if w in lu) / len(words)
-        score = 0.45 * pr_score + 0.45 * max(tf_avg, 0.0) + 0.07 * tmatch + 0.03 * umatch
+        score = 0.45 * pr_score + 0.45 * tf_part + 0.07 * tmatch + 0.03 * umatch
+        if city_kw is not None:  # Q9, ResultPageHandler.java:175-177
+            gb = compute_geo_boost(city_kw, lt, lu, (snippet or "").lower())
+            if gb > 0.0:
+                score *= 1.0 + 0.2 * gb
         if len(url) > 120:
             score *= 1.0 / (1.0 + (len(url) - 120) / 60.0)
         results.append({"url": url, "title": title, "score": score})

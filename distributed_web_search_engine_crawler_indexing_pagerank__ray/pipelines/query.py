@@ -6,6 +6,19 @@ operators are library functions over the index / tfidf / pageranks
 tables, packaged in a :class:`QueryEngine` that mirrors the serving
 actor (dictionary built once = the spellcheck cache,
 ``SpellChecker.java:21-39``).
+
+The reference looks up each candidate's tf-idf by ``Hasher.hash(word|url)``
+and its PageRank row by ``Hasher.hash(url)`` on every request
+(``ResultPageHandler.java:95-223``).  :class:`QueryEngine` makes those
+lookups once, at load, for every posting of the index: a request runs
+no hashing and no per-candidate string work.  This is exact because
+every (word, url) pair a request scores has the word in the index and
+the url in that word's postings: ``correct`` returns a dictionary word
+or a word with no postings, and ``candidates`` is empty as soon as one
+word has no postings.  The stored values are the ones the per-request
+lookups return, duplicate keys included (the last row wins), and the
+score adds them in the same order, so results are bit-identical to
+``downstream_oracle.query_oracle`` over the same tables.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ import bisect
 import math
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.hasher import ref_hash
 from ..functions.textstats import levenshtein
@@ -65,8 +79,24 @@ def compute_geo_boost(city_keyword: str | None, lower_title: str,
     return 0.0
 
 
+def _rows_by_key(tbl: pa.Table, key_col: str, keys, cols: list[str]) -> dict:
+    """``key -> (values of cols)`` for the rows of ``tbl`` whose
+    ``key_col`` is one of ``keys``.  Where a key repeats, the last row
+    wins, as in a dict built over every row in table order; only the
+    matching rows reach Python."""
+    wanted = pa.array(list(keys), pa.string())
+    sub = tbl.select([key_col, *cols]).filter(pc.is_in(tbl[key_col], value_set=wanted))
+    return dict(zip(sub[key_col].to_pylist(),
+                    zip(*(sub[c].to_pylist() for c in cols))))
+
+
 class QueryEngine:
-    """Serving-side state: one instance per serving actor/process."""
+    """Serving-side state: one instance per serving actor/process.
+
+    The constructor does every query-independent step of Q4–Q7 once:
+    ``_postings[word][url]`` holds the posting's tf-idf and whether the
+    word occurs in the page's lowered title and url; ``_pages[url]``
+    holds the page's Q6 inputs and its title-dedup key."""
 
     def __init__(self, index_tbl: pa.Table, tfidf_tbl: pa.Table,
                  pageranks_tbl: pa.Table, tfidf_completion: float = 1.0):
@@ -76,24 +106,39 @@ class QueryEngine:
         # scores untouched.  Source of the ratio here: the resumable
         # job's checkpoint (resume.tfidf_completion).
         self.tfidf_completion = float(tfidf_completion)
-        self.index: dict[str, list[str]] = {}
-        for i in range(index_tbl.num_rows):
-            self.index[index_tbl["word"][i].as_py()] = index_tbl["postings"][
-                i
-            ].as_py()
+        self.index: dict[str, list[str]] = dict(
+            zip(index_tbl["word"].to_pylist(), index_tbl["postings"].to_pylist())
+        )
         self.dictionary = sorted(self.index)  # Q2/Q3 cache
-        self.tfidf: dict[str, float] = {}
-        for i in range(tfidf_tbl.num_rows):
-            self.tfidf[tfidf_tbl["key"][i].as_py()] = tfidf_tbl["tfidf"][
-                i
-            ].as_py()
-        self.meta: dict[str, tuple[str, str, float]] = {}
-        for i in range(pageranks_tbl.num_rows):
-            self.meta[pageranks_tbl["url_hash"][i].as_py()] = (
-                pageranks_tbl["title"][i].as_py(),
-                pageranks_tbl["snippet"][i].as_py(),
-                pageranks_tbl["pagerank"][i].as_py(),
-            )
+        pair_key = {(w, u): ref_hash(w + "|" + u)
+                    for w, urls in self.index.items() for u in urls}
+        url_key = {u: ref_hash(u) for u in dict.fromkeys(
+            u for urls in self.index.values() for u in urls)}
+        tfidf = _rows_by_key(tfidf_tbl, "key", pair_key.values(), ["tfidf"])
+        meta = _rows_by_key(pageranks_tbl, "url_hash", url_key.values(),
+                            ["title", "snippet", "pagerank"])
+        # url -> (pr_score, length penalty or None, title, dedup key,
+        #         lowered title, lowered url, snippet)
+        self._pages: dict[str, tuple] = {}
+        for url, h in url_key.items():
+            m = meta.get(h)
+            if m is not None:
+                title, snippet, pr = m
+                title = title or url
+            else:
+                title, snippet, pr = url, "...", 0.1  # metadata fallback
+            lt = title.lower()
+            shrink = (1.0 / (1.0 + (len(url) - 120) / 60.0)
+                      if len(url) > 120 else None)
+            self._pages[url] = (math.log(1.0 + max(pr, 0.0)), shrink, title,
+                                " ".join(lt.split()), lt, url.lower(), snippet)
+        # word -> url -> (tf-idf, word in lowered title, word in lowered url)
+        self._postings: dict[str, dict[str, tuple[float, bool, bool]]] = {}
+        for w, urls in self.index.items():
+            post = self._postings[w] = {}
+            for u in urls:
+                *_, lt, lu, _ = self._pages[u]
+                post[u] = (tfidf.get(pair_key[w, u], (0.0,))[0], w in lt, w in lu)
 
     # -- Q2: spellcheck (Levenshtein ≤ 2, early-exit DP) ---------------------
 
@@ -101,7 +146,11 @@ class QueryEngine:
         if word in self.index:
             return word
         best, best_d = word, SPELL_MAX_DISTANCE + 1
+        n = len(word)
         for cand in self.dictionary:
+            # the distance is at least the length difference
+            if abs(len(cand) - n) >= best_d:
+                continue
             d = levenshtein(word, cand, best_d)
             if d < best_d:
                 best, best_d = cand, d
@@ -127,7 +176,7 @@ class QueryEngine:
             return []
         urls = list(self.index.get(words[0], []))
         for w in words[1:]:
-            postings = set(self.index.get(w, []))
+            postings = self._postings.get(w, {})
             urls = [u for u in urls if u in postings]
         return urls
 
@@ -136,61 +185,51 @@ class QueryEngine:
     def search(self, raw_query: str, page_size: int = RESULTS_PER_PAGE,
                lat: float | None = None, lon: float | None = None) -> list[dict]:
         words = [self.correct(w) for w in query_tokens(raw_query)]
-        if not words:
+        urls = self.candidates(words)
+        if not urls:
             return []
+        # every word has postings here, and every url is in each of them
+        posts = [self._postings[w] for w in words]
+        n = len(words)
         city = infer_city_keyword(lat, lon)
         city_kw = city.lower() if city else None
-        results = []
-        for url in self.candidates(words):
-            tf_avg = (
-                sum(self.tfidf.get(ref_hash(w + "|" + url), 0.0) for w in words)
-                / len(words)
-            )
-            m = self.meta.get(ref_hash(url))
-            if m is not None:
-                title, snippet, pr = m
-                title = title or url
-            else:
-                title, snippet, pr = url, "...", 0.1  # metadata fallback
-            pr_score = math.log(1.0 + max(pr, 0.0))
-            tf_avg = max(tf_avg, 0.0)
+        scored = []
+        for url in urls:
+            tfs, in_title, in_url = zip(*[p[url] for p in posts])
+            pr_score, shrink, _, _, lt, lu, snippet = self._pages[url]
+            tf_avg = max(sum(tfs) / n, 0.0)
             if self.tfidf_completion < 1.0:  # ResultPageHandler.java:128-131
                 tf_avg *= self.tfidf_completion
-            lt, lu = title.lower(), url.lower()
-            tmatch = sum(1 for w in words if w in lt) / len(words)
-            umatch = sum(1 for w in words if w in lu) / len(words)
             score = (
                 0.45 * pr_score
                 + 0.45 * tf_avg
-                + 0.07 * tmatch
-                + 0.03 * umatch
+                + 0.07 * (sum(in_title) / n)
+                + 0.03 * (sum(in_url) / n)
             )
             if city_kw is not None:  # Q9: ResultPageHandler.java:175-177
                 gb = compute_geo_boost(city_kw, lt, lu, (snippet or "").lower())
                 if gb > 0.0:
                     score *= 1.0 + 0.2 * gb
-            if len(url) > 120:
-                score *= 1.0 / (1.0 + (len(url) - 120) / 60.0)
-            results.append({"url": url, "title": title, "score": score})
-        results.sort(key=lambda r: (-r["score"], r["url"]))
+            if shrink is not None:
+                score *= shrink
+            scored.append((-score, url))
+        scored.sort()
         seen_titles: set[str] = set()
         out = []
-        for r in results:
-            key = " ".join(r["title"].lower().split())
+        for neg, url in scored:
+            _, _, title, key = self._pages[url][:4]
             if key in seen_titles:
                 continue
             seen_titles.add(key)
-            out.append(r)
+            out.append({"url": url, "title": title, "score": -neg})
+            if len(out) == page_size:
+                break
         return out[:page_size]
 
     def cached_page(self, pages_tbl: pa.Table, url: str) -> bytes | None:
-        """Q8: point lookup of the stored page body."""
-        key = ref_hash(url)
-        idx = None
-        hashes = pages_tbl["url_hash"].to_pylist()
-        for i, h in enumerate(hashes):
-            if h == key:
-                idx = i
-        if idx is None:
+        """Q8: point lookup of the stored page body (the last row with
+        the url's hash wins)."""
+        rows = pc.indices_nonzero(pc.equal(pages_tbl["url_hash"], ref_hash(url)))
+        if len(rows) == 0:
             return None
-        return pages_tbl["page"][idx].as_py()
+        return pages_tbl["page"][rows[-1].as_py()].as_py()

@@ -3785,7 +3785,7 @@ def q_order_count_distribution(sf_dir: str):
             {
                 "bucket": pa.array(
                     (k.astype(np.uint64) * 0x9E3779B97F4A7C15
-                     >> 40).astype(np.int64) & (NB - 1),
+                     >> 32).astype(np.int64) & (NB - 1),
                     pa.int32(),
                 ),
                 "k": pa.array(k, pa.int64()),
