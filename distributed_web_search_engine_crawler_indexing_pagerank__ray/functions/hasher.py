@@ -45,11 +45,6 @@ def ref_hash(x: str) -> str:
     return b"".join([_U2PAIRS[u] for u in digest]).decode("ascii")
 
 
-def ref_hash_bytes(x: bytes) -> str:
-    digest = hashlib.sha1(x).digest()
-    return b"".join([_U2PAIRS[u] for u in digest]).decode("ascii")
-
-
 _KEY_ALLOWED = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-")
 
 

@@ -45,12 +45,6 @@ _NON_AZ_RE = re.compile(r"[^a-z]+")
 _WS_SPLIT_RE = re.compile(r"\s+", re.ASCII)
 
 
-def is_stop_word(word: str | None) -> bool:
-    if word is None:
-        return False
-    return word.lower() in STOP_WORDS
-
-
 def tokenize_az(text: str) -> list[str]:
     """Lowercase, split on ``[^a-z]+``, keep non-empty tokens of len<=25
     that aren't stopwords (Indexer/TfIdf shared core)."""

@@ -890,15 +890,3 @@ class CrawlEngine:
                     break
             self.run_wave()
         return self.light_summary()
-
-
-def run_crawl(
-    web_cfg: WebConfig,
-    params: CrawlParams,
-    seeds: list[str] | None = None,
-    **engine_kwargs,
-) -> tuple[dict, "CrawlEngine"]:
-    """One-shot crawl; returns (summary, engine)."""
-    eng = CrawlEngine(web_cfg, params, **engine_kwargs)
-    summary = eng.run(seeds)
-    return summary, eng

@@ -24,11 +24,11 @@ bottleneck) with:
   applies the O(V) vectorized rank update + residual check.  Dangling
   mass rides the same shuffle as dst = -2 rows.
 
-Cluster-scale note: the driver holds the O(V) rank/outdeg vectors and
-sorted key array (8–80 B/vertex — the same order as the reference's
-coordinator state).  Past ~10^9 vertices the update itself would move
-into the groupby output (ranks as a Dataset joined to edges); the
-sparse gather below is unchanged by that step.
+Scale limit: the driver holds the O(V) rank vector and sorted key
+array (8–80 B/vertex — the same order as the reference's coordinator
+state), so the graph size is bounded by one process's memory: about
+10^9 vertices on a large driver.  Only the update is O(V) on the driver;
+the gather stays sparse and distributed.
 """
 
 from __future__ import annotations
@@ -236,278 +236,6 @@ def _project_ranks(graph, vkeys_ref, ranks: np.ndarray) -> pa.Table:
     return pa.concat_tables(parts).cast(PAGERANK_SCHEMA)
 
 
-# floor for the size-derived bucket counts of the rank/edge co-group
-# joins (see functions/partitioning.bucket_count): per-bucket memory is
-# bounded by the rows-per-bucket target at any graph size instead of a
-# fixed 32-way split
-PR_JOIN_BUCKETS_FLOOR = 32
-
-
-def _run_ranks_as_dataset(edges, n: int, damping: float,
-                          max_iterations: int, convergence: float):
-    """The >10^9-vertex shape (module docstring's named step), behind
-    ``ranks_as_dataset=True``: ranks live as a ``(vid, rank)`` Dataset
-    and the per-iteration update runs INSIDE the shuffle — the driver
-    holds only scalars (n, dangling sum, residual).  Each round is:
-
-      1. bucketed edges⋈ranks co-group join on ``src`` (same pattern as
-         dedup's label propagation) → sparse (dst, partial) pairs with
-         local combine; dangling mass rides as dst = -2;
-      2. ``groupby(dst).sum`` — the gather shuffle (P5);
-      3. bucketed ranks⋈inbound join applies
-         ``new = (1-d)/N + d·inbound + d·dangling/N`` and emits the
-         per-vertex |Δ| alongside;
-      4. residual = ``aggregate(Max(delta))`` (a scalar), convergence
-         checked exactly as the driver-vector path.
-
-    Returns the final ranks Dataset (vid, rank)."""
-    import pandas as pd
-    from ray.data.aggregate import Max, Sum
-
-    from ..functions.partitioning import bucket_count
-
-    # edges is materialized by the caller, so count() is metadata;
-    # sizing on edge rows bounds the per-bucket join input
-    NB = bucket_count(edges.count(), min_buckets=PR_JOIN_BUCKETS_FLOOR)
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        src = t["src"].combine_chunks()
-        return pa.table(
-            {
-                "bucket": pa.compute.cast(
-                    pa.compute.bit_wise_and(src, pa.scalar(NB - 1)), pa.int32()
-                ),
-                "side": pa.array(["e"] * t.num_rows, pa.string()),
-                "src": src,
-                "dst": t["dst"],
-                "outdeg": t["outdeg"],
-                "rank": pa.nulls(t.num_rows, pa.float64()),
-            }
-        )
-
-    def tag_ranks(t: pa.Table) -> pa.Table:
-        vid = t["vid"].combine_chunks()
-        return pa.table(
-            {
-                "bucket": pa.compute.cast(
-                    pa.compute.bit_wise_and(vid, pa.scalar(NB - 1)), pa.int32()
-                ),
-                "side": pa.array(["r"] * t.num_rows, pa.string()),
-                "src": vid,
-                "dst": pa.nulls(t.num_rows, pa.int64()),
-                "outdeg": pa.nulls(t.num_rows, pa.int64()),
-                "rank": t["rank"],
-            }
-        )
-
-    def scatter(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        e = df[df["side"] == "e"][["src", "dst", "outdeg"]]
-        r = df[df["side"] == "r"][["src", "rank"]]
-        m = e.merge(r, on="src", how="inner")
-        out_d: list[np.ndarray] = []
-        out_p: list[np.ndarray] = []
-        dang = m[m["dst"] == -2]
-        if len(dang):
-            out_d.append(np.array([-2], np.int64))
-            out_p.append(np.array([float(dang["rank"].sum())]))
-        ed = m[m["dst"] >= 0]
-        if len(ed):
-            d = ed["dst"].to_numpy(dtype=np.int64)
-            c = ed["rank"].to_numpy() / ed["outdeg"].to_numpy()
-            order = np.argsort(d, kind="stable")
-            ds_, cs = d[order], c[order]
-            uniq, idx = np.unique(ds_, return_index=True)
-            out_d.append(uniq)
-            out_p.append(np.add.reduceat(cs, idx))
-        if not out_d:
-            return pa.table(
-                {"dst": pa.array([], pa.int64()),
-                 "partial": pa.array([], pa.float64())}
-            )
-        return pa.table(
-            {
-                "dst": pa.array(np.concatenate(out_d), pa.int64()),
-                "partial": pa.array(np.concatenate(out_p), pa.float64()),
-            }
-        )
-
-    tagged_edges = edges.map_batches(
-        tag_edges, batch_format="pyarrow"
-    ).materialize()
-
-    def init_ranks(t: pa.Table) -> pa.Table:
-        vid = t["id"].combine_chunks().cast(pa.int64())
-        return pa.table(
-            {"vid": vid,
-             "rank": pa.array(np.full(len(vid), 1.0 / n), pa.float64())}
-        )
-
-    ranks = (
-        ray.data.range(n)
-        .map_batches(init_ranks, batch_format="pyarrow")
-        .materialize()
-    )
-
-    for _i in range(max_iterations):
-        inbound = (
-            tagged_edges.union(
-                ranks.map_batches(tag_ranks, batch_format="pyarrow")
-            )
-            .groupby("bucket")
-            .map_groups(scatter, batch_format="pyarrow")
-            .groupby("dst")
-            .aggregate(Sum("partial", alias_name="inbound"))
-            .materialize()
-        )
-
-        # dangling sum: ≤1 row after the gather — a scalar to the driver
-        def dangling_rows(t: pa.Table) -> pa.Table:
-            return t.filter(pa.compute.equal(t["dst"], pa.scalar(-2)))
-
-        dparts = list(
-            inbound.map_batches(dangling_rows, batch_format="pyarrow")
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        dangling = (
-            float(pa.concat_tables(dparts)["inbound"].to_numpy().sum())
-            if dparts
-            else 0.0
-        )
-        base = (1.0 - damping) / n + damping * dangling / n
-
-        def tag_inbound(t: pa.Table) -> pa.Table:
-            t = t.filter(pa.compute.greater_equal(t["dst"], pa.scalar(0)))
-            vid = t["dst"].combine_chunks()
-            return pa.table(
-                {
-                    "bucket": pa.compute.cast(
-                        pa.compute.bit_wise_and(vid, pa.scalar(NB - 1)),
-                        pa.int32(),
-                    ),
-                    "side": pa.array(["i"] * t.num_rows, pa.string()),
-                    "vid": vid,
-                    "val": t["inbound"],
-                }
-            )
-
-        def tag_old(t: pa.Table) -> pa.Table:
-            vid = t["vid"].combine_chunks()
-            return pa.table(
-                {
-                    "bucket": pa.compute.cast(
-                        pa.compute.bit_wise_and(vid, pa.scalar(NB - 1)),
-                        pa.int32(),
-                    ),
-                    "side": pa.array(["o"] * t.num_rows, pa.string()),
-                    "vid": vid,
-                    "val": t["rank"],
-                }
-            )
-
-        def update(g: pa.Table) -> pa.Table:
-            df = g.to_pandas()
-            o = df[df["side"] == "o"][["vid", "val"]]
-            i_ = df[df["side"] == "i"][["vid", "val"]]
-            m = o.merge(i_, on="vid", how="left", suffixes=("_o", "_i"))
-            inb = m["val_i"].fillna(0.0).to_numpy()
-            new = base + damping * inb
-            old = m["val_o"].to_numpy()
-            return pa.table(
-                {
-                    "vid": pa.array(m["vid"].to_numpy(dtype=np.int64)),
-                    "rank": pa.array(new, pa.float64()),
-                    "delta": pa.array(np.abs(new - old), pa.float64()),
-                }
-            )
-
-        updated = (
-            ranks.map_batches(tag_old, batch_format="pyarrow")
-            .union(inbound.map_batches(tag_inbound, batch_format="pyarrow"))
-            .groupby("bucket")
-            .map_groups(update, batch_format="pyarrow")
-            .materialize()
-        )
-        agg = updated.aggregate(Max("delta", alias_name="residual"))
-        residual = float(agg["residual"]) if agg else 0.0
-        ranks = updated.select_columns(["vid", "rank"]).materialize()
-        if residual < convergence:
-            break
-    return ranks
-
-
-def _project_ranks_dataset(graph, vkeys_ref, ranks_ds) -> pa.Table:
-    """Final projection for the Dataset-ranks path: one more bucketed
-    join of graph rows (vid via searchsorted) to the final ranks."""
-    from ..functions.partitioning import bucket_count
-
-    NB = bucket_count(
-        len(ray.get(vkeys_ref)), min_buckets=PR_JOIN_BUCKETS_FLOOR
-    )
-
-    def tag_pages(t: pa.Table) -> pa.Table:
-        keys = ray.get(vkeys_ref)
-        vid = np.searchsorted(
-            keys, t["url_hash"].to_numpy(zero_copy_only=False)
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array((vid & (NB - 1)).astype(np.int32)),
-                "side": pa.array(["p"] * t.num_rows, pa.string()),
-                "vid": pa.array(vid),
-                "url_hash": t["url_hash"],
-                "url": t["url"],
-                "title": t["title"],
-                "snippet": t["snippet"],
-                "rank": pa.nulls(t.num_rows, pa.float64()),
-            }
-        )
-
-    def tag_ranks(t: pa.Table) -> pa.Table:
-        vid = t["vid"].combine_chunks()
-        nr = t.num_rows
-        return pa.table(
-            {
-                "bucket": pa.compute.cast(
-                    pa.compute.bit_wise_and(vid, pa.scalar(NB - 1)), pa.int32()
-                ),
-                "side": pa.array(["r"] * nr, pa.string()),
-                "vid": vid,
-                "url_hash": pa.nulls(nr, pa.string()),
-                "url": pa.nulls(nr, pa.string()),
-                "title": pa.nulls(nr, pa.string()),
-                "snippet": pa.nulls(nr, pa.string()),
-                "rank": t["rank"],
-            }
-        )
-
-    def join(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        p = df[df["side"] == "p"][
-            ["vid", "url_hash", "url", "title", "snippet"]
-        ]
-        r = df[df["side"] == "r"][["vid", "rank"]]
-        m = p.merge(r, on="vid", how="inner")
-        return pa.table(
-            {
-                "url_hash": pa.array(m["url_hash"], pa.string()),
-                "url": pa.array(m["url"], pa.string()),
-                "title": pa.array(m["title"], pa.string()),
-                "snippet": pa.array(m["snippet"], pa.string()),
-                "pagerank": pa.array(m["rank"].to_numpy(), pa.float64()),
-            }
-        )
-
-    parts = list(
-        graph.map_batches(tag_pages, batch_format="pyarrow")
-        .union(ranks_ds.map_batches(tag_ranks, batch_format="pyarrow"))
-        .groupby("bucket")
-        .map_groups(join, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    )
-    return pa.concat_tables(parts).cast(PAGERANK_SCHEMA)
-
-
 def build_graph(pages):
     """pages (Dataset or Table) → materialized graph Dataset (P1)."""
     if isinstance(pages, pa.Table):
@@ -523,8 +251,7 @@ def run_pagerank(pages, damping: float = DAMPING,
                  init_ranks: np.ndarray | None = None,
                  start_iteration: int = 0,
                  on_iteration=None,
-                 graph=None,
-                 ranks_as_dataset: bool = False) -> pa.Table:
+                 graph=None) -> pa.Table:
     """pages: Dataset or Table of crawl page rows → pt-pageranks table.
 
     Resume hooks (P9): ``graph`` reuses a pre-built graph Dataset,
@@ -532,14 +259,7 @@ def run_pagerank(pages, damping: float = DAMPING,
     iteration, ``on_iteration(i, ranks, residual)`` is called after
     every round (the resumable job persists ranks there — matching the
     reference's staged PageRank state saves,
-    ``ref/src/jobs/PageRank.java:417-450``).
-
-    ``ranks_as_dataset=True`` switches the update to the fully
-    distributed shape (``_run_ranks_as_dataset``): ranks live as a
-    Dataset and the O(V) driver vectors disappear — the >10^9-vertex
-    path, proven on the sandbox fixture (slower at small V: two extra
-    bucketed shuffles per round).  Resume hooks are driver-vector-path
-    only."""
+    ``ref/src/jobs/PageRank.java:417-450``)."""
     if graph is None:
         graph = build_graph(pages)
     vkeys = _vertex_keys(graph)
@@ -548,13 +268,6 @@ def run_pagerank(pages, damping: float = DAMPING,
         return PAGERANK_SCHEMA.empty_table()
     vkeys_ref = ray.put(vkeys)  # numpy object array: one copy per node
     edges = _build_edges(graph, vkeys_ref, n)
-
-    if ranks_as_dataset:
-        ranks_ds = _run_ranks_as_dataset(
-            edges, n, damping, max_iterations, convergence
-        )
-        return _project_ranks_dataset(graph, vkeys_ref, ranks_ds)
-
     ranks = np.full(n, 1.0 / n) if init_ranks is None else init_ranks
     for i in range(start_iteration, max_iterations):
         ranks, residual = _one_iteration(edges, ranks, n, damping)

@@ -3145,13 +3145,16 @@ def q_corr_qty_discount(sf_dir: str):
     sxx = pdf["sxx"].to_numpy(np.int64).astype(np.float64)
     syy = pdf["syy"].to_numpy(np.int64).astype(np.float64)
     sxy = pdf["sxy"].to_numpy(np.int64).astype(np.float64)
-    r = (n * sxy - sx * sy) / (
-        np.sqrt(n * sxx - sx * sx) * np.sqrt(n * syy - sy * sy)
-    )
+    vx = n * sxx - sx * sx
+    vy = n * syy - sy * sy
+    # a zero variance term divides by 0: NULL, as SQL's division gives
+    null = (vx == 0) | (vy == 0)
+    r = np.divide(n * sxy - sx * sy, np.sqrt(vx) * np.sqrt(vy),
+                  out=np.zeros_like(n), where=~null)
     return pa.table(
         {
             "l_returnflag": pa.array(pdf["l_returnflag"], pa.string()),
-            "r": pa.array(r, pa.float64()),
+            "r": pa.array(r, pa.float64(), mask=null),
         }
     )
 

@@ -1805,7 +1805,7 @@ def q_source_divergence(sf_dir: str):
         )  # |sources| is tiny; the heavy stream is the tokens
         sw = (
             pd.DataFrame({"source": srcs[parents], "word": toks})
-            .groupby(["source", "word"], sort=False)
+            .groupby(["source", "word"], sort=False, dropna=False)
             .size()
             .reset_index(name="c")
         )
@@ -1829,15 +1829,18 @@ def q_source_divergence(sf_dir: str):
     def kl_bucket(g: pd.DataFrame) -> pa.Table:
         # rows are per-block partial (source, word) counts: merge them
         # before the log, then c_w = corpus count of each word — complete
-        # inside this bucket
-        sw = g.groupby(["source", "word"], as_index=False, sort=False)["c"].sum()
+        # inside this bucket.  dropna=False here and below: a NULL
+        # source is one group, as in SQL's GROUP BY
+        sw = g.groupby(
+            ["source", "word"], as_index=False, sort=False, dropna=False
+        )["c"].sum()
         c = sw["c"].to_numpy(np.int64)
         cw = sw.groupby("word")["c"].transform("sum").to_numpy(np.float64)
         lnr = np.log(c.astype(np.float64)) - np.log(cw)
         q = np.floor(lnr * DSIR_GRID + 0.5).astype(np.int64)
         out = (
             pd.DataFrame({"source": sw["source"], "n": c, "p": c * q})
-            .groupby("source", as_index=False)
+            .groupby("source", as_index=False, dropna=False)
             .sum()
         )
         return pa.table(
@@ -1862,7 +1865,9 @@ def q_source_divergence(sf_dir: str):
                 "kl": pa.array([], pa.float64()),
             }
         )
-    agg = parts.groupby("source", as_index=False)[["n", "p"]].sum()
+    agg = parts.groupby("source", as_index=False, dropna=False)[
+        ["n", "p"]
+    ].sum()
     total = float(agg["n"].sum())
     ns = agg["n"].to_numpy(np.float64)
     raw = (
@@ -1995,13 +2000,13 @@ def q_vocab_head_coverage(sf_dir: str):
         .to_pandas()
     )
     total = int(parts["mass"].sum()) if len(parts) else 0
-    if total == 0:
+    if total == 0:  # no tokens: SQL's sums over no rows are NULL
         return pa.table(
             {
                 "k": pa.array([np.int64(HEAD_K)]),
-                "head_mass": pa.array([np.int64(0)]),
-                "total_tokens": pa.array([np.int64(0)]),
-                "coverage": pa.array([0.0], pa.float64()),
+                "head_mass": pa.nulls(1, pa.int64()),
+                "total_tokens": pa.nulls(1, pa.int64()),
+                "coverage": pa.nulls(1, pa.float64()),
             }
         )
     cand = parts[parts["word"] != ""].sort_values(

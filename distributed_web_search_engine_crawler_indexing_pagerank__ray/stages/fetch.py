@@ -289,7 +289,7 @@ def make_wave_stage(
 
     RPC overlap: ``buffer_complete`` / ``buffer_saved`` are fired
     without waiting and awaited only at the end of the block (they
-    overlap the fetch + link compute); ``probe_and_buffer_enqueue`` is
+    overlap the fetch + link compute); ``probe_enqueue_arrays`` is
     fired before the raw-href dedup work and awaited after it.
 
     ``counts_ref`` broadcasts the wave-start hostname page counts as a

@@ -14,7 +14,7 @@ with the exact string set as the authority.
 Wave protocol (single fused Dataset job per wave, see
 ``pipelines/crawl.py``):
 
-- ``HostShard.admit_groups`` — called once per (block × shard) with
+- ``HostShard.admit_table`` — called once per (block × shard) with
   COMPLETE host groups (the driver splits frontier blocks at host
   boundaries), walks each group in sorted ``(host_key, url_hash)``
   order at virtual instant ``t_k``.  Committed host counts are frozen
@@ -124,18 +124,14 @@ class HostShard:
 
     # -- wave admission (the per-host priority-queue walk) -------------------
 
-    def admit_groups(
-        self,
-        wave_idx: int,
-        t_k: int,
-        host_keys: list[str],
-        groups: list[list[tuple]],
-    ) -> pa.Table:
-        """Admission for complete host groups (one list entry per
-        host_key; members pre-sorted by url_hash by the caller; each
-        member is ``(url, url_hash, hostname, path, in_universe,
-        countable)`` — all pure derivations precomputed in the parallel
-        admit stage so this serial walk touches only shard state).
+    def admit_table(self, wave_idx: int, t_k: int, tbl: pa.Table) -> pa.Table:
+        """Admission for complete host groups: ``tbl`` holds the
+        block's rows for THIS shard, sorted by (host_key, url_hash),
+        with columns ``url, url_hash, host_key, hostname, path,
+        in_univ, countable`` — all pure derivations precomputed in the
+        parallel admit stage so this serial walk touches only shard
+        state.  Arrow ships zero-copy (a tuple-list payload pickled at
+        ~1 µs/field and queued the tasks on the shards).
 
         Mirrors the oracle's phase-1 walk: all attempts at ``t_k``,
         lastAccess updates within the group gate later members, cap
@@ -152,66 +148,7 @@ class HostShard:
         hostname has exactly one scheme/port (see
         ``sources/synthetic_web.py``: hosts are generated with a single
         canonical origin).  Committed counts still converge globally at
-        ``end_wave``.
-        """
-        from ..functions.robots import robots_allows_parsed
-
-        reference_mode = self.fidelity == "reference"
-        counts = self.counts
-        cap = self.max_pages_per_host
-        urls_out: list[str] = []
-        hashes_out: list[str] = []
-        dec_out: list[str] = []
-        throttled = 0
-        for host_key, group in zip(host_keys, groups):
-            in_group: dict[str, int] = {}
-            st = None
-            for url, url_hash, hn, path, in_univ, countable in group:
-                if hn == "":
-                    dec = D_NOHOST
-                elif counts.get(hn, 0) + in_group.get(hn, 0) >= cap:
-                    dec = D_NOCAP
-                else:
-                    if st is None:
-                        st = self._ensure_robots(host_key)
-                    if (t_k - st[0]) < st[6]:
-                        dec = D_THROTTLE
-                        throttled += 1
-                    elif st[5] is not None and not robots_allows_parsed(
-                        st[5], path, reference_mode
-                    ):
-                        st[0] = t_k
-                        dec = D_ROBOTS
-                    elif not in_univ:
-                        dec = D_MISS
-                    else:
-                        st[0] = t_k
-                        dec = D_HIT
-                        if countable:
-                            in_group[hn] = in_group.get(hn, 0) + 1
-                urls_out.append(url)
-                hashes_out.append(url_hash)
-                dec_out.append(dec)
-            for hn, c in in_group.items():
-                self.wave_delta[hn] = self.wave_delta.get(hn, 0) + c
-        self.wave_stats["throttled"] += throttled
-        self.wave_stats["attempted"] += len(urls_out)
-        return pa.table(
-            {
-                "url": pa.array(urls_out, pa.string()),
-                "url_hash": pa.array(hashes_out, pa.string()),
-                "decision": pa.array(dec_out, pa.string()),
-            }
-        )
-
-    def admit_table(self, wave_idx: int, t_k: int, tbl: pa.Table) -> pa.Table:
-        """Arrow-payload admission (the RPC hot path): ``tbl`` holds the
-        block's rows for THIS shard, sorted by (host_key, url_hash)
-        with complete host_key groups — the same walk as
-        :meth:`admit_groups` over a columnar payload.  Ray ships Arrow
-        tables zero-copy, vs ~1 µs/field pickling for the tuple-list
-        form, which at bench scale made tasks queue on the shards while
-        holding their task slots."""
+        ``end_wave``."""
         from ..functions.robots import robots_allows_parsed
 
         reference_mode = self.fidelity == "reference"
@@ -288,21 +225,7 @@ class HostShard:
         self.wave_stats = {"throttled": 0, "attempted": 0}
         return delta, stats
 
-    def get_counts(self) -> dict:
-        return dict(self.counts)
-
     # -- checkpoint ----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "hosts": {k: list(v) for k, v in self.hosts.items()},
-            "counts": dict(self.counts),
-        }
-
-    def restore(self, snap: dict) -> None:
-        self.hosts = {k: list(v) for k, v in snap["hosts"].items()}
-        self.counts = dict(snap["counts"])
 
     def snapshot_table(self) -> pa.Table:
         """Host state as an Arrow table (parquet checkpoint form —
@@ -379,33 +302,11 @@ class SeenShard:
 
     # -- wave-time operations (buffered writes, snapshot reads) --------------
 
-    def probe_and_buffer_enqueue(self, urls: list[str], hashes: list[str],
-                                 keys64: list[int]) -> list[bool]:
-        """C18 membership check against the wave-start visited set;
-        True = not seen → survivor, enqueue buffered."""
-        out = []
-        keys = np.asarray(keys64, dtype=np.uint64)
-        maybe = self.filters.contains_many(keys)
-        self.stats["probes"] += len(urls)
-        for i, (u, h) in enumerate(zip(urls, hashes)):
-            if not maybe[i]:
-                self.stats["bloom_neg"] += 1
-                seen = False
-            else:
-                seen = h in self.visited
-                if not seen:
-                    self.stats["filter_fp"] += 1
-            if seen:
-                out.append(False)
-            else:
-                self._buf_enqueue.append((h, u))
-                out.append(True)
-        return out
-
     def probe_enqueue_arrays(self, urls: pa.Array, hashes: pa.Array,
                              keys64: np.ndarray) -> np.ndarray:
-        """Arrow/numpy-payload form of :meth:`probe_and_buffer_enqueue`
-        (zero-copy ship; the python-list form pickled ~2 µs/row both
+        """C18 membership check against the wave-start visited set;
+        True = not seen → survivor, enqueue buffered.  Arrow/numpy
+        payloads ship zero-copy (python lists pickled ~2 µs/row both
         ways and queued the fetch tasks on this actor)."""
         u = urls.to_pylist()
         h = hashes.to_pylist()
@@ -429,18 +330,15 @@ class SeenShard:
                 out[i] = True
         return out
 
-    def buffer_complete(self, urls, hashes, keys64) -> int:
-        if isinstance(urls, pa.Array):  # arrow payload (hot path)
-            urls = urls.to_pylist()
-            hashes = hashes.to_pylist()
-            keys64 = [int(k) for k in keys64]
-        self._buf_complete.extend(zip(hashes, urls, keys64))
+    def buffer_complete(self, urls: pa.Array, hashes: pa.Array,
+                        keys64: np.ndarray) -> int:
+        self._buf_complete.extend(
+            zip(hashes.to_pylist(), urls.to_pylist(), [int(k) for k in keys64])
+        )
         return len(urls)
 
-    def buffer_saved(self, hashes) -> int:
-        if isinstance(hashes, pa.Array):
-            hashes = hashes.to_pylist()
-        self._buf_saved.extend(hashes)
+    def buffer_saved(self, hashes: pa.Array) -> int:
+        self._buf_saved.extend(hashes.to_pylist())
         return len(hashes)
 
     # -- wave barrier ---------------------------------------------------------
@@ -478,9 +376,6 @@ class SeenShard:
         if record:
             out["new_visited_urls"] = new_urls
         return out
-
-    def crawl_count(self) -> int:
-        return len(self.saved)
 
     def queue_contents(self) -> pa.Table:
         return pa.table({"url_hash": list(self.queue.keys()),
@@ -542,16 +437,6 @@ class SeenShard:
 
     # -- checkpoint ----------------------------------------------------------
 
-    def snapshot(self) -> dict:
-        return {"visited": dict(self.visited), "queue": dict(self.queue),
-                "saved": sorted(self.saved)}
-
-    def restore(self, snap: dict) -> None:
-        self.visited = dict(snap["visited"])
-        self.queue = dict(snap["queue"])
-        self.saved = set(snap["saved"])
-        self.filters.add_batch([key64(u) for u in self.visited.values()])
-
     def snapshot_table(self) -> pa.Table:
         """Seen-set + queue + saved keys as ONE Arrow table (the exact
         'sidecar' of the approximate filters; parquet checkpoint form).
@@ -610,8 +495,8 @@ class FrontierShard:
     so pulls are O(log n) searchsorted slices.
 
     SPILL (the 10^10-URL path): when the committed frontier exceeds
-    ``spill_threshold`` rows (ctor arg, or the
-    ``GRAFT_FRONTIER_SPILL_ROWS`` env; 0 = keep in memory), the
+    ``spill_threshold`` rows (0 = keep in memory; ``CrawlEngine``
+    resolves it from ``GRAFT_FRONTIER_SPILL_ROWS``), the
     part-sorted slice is written to this shard's own parquet partition
     under /tmp and the actor keeps only a (n_parts+1)-int64 offset
     index; a range pull then reads just the row groups covering
@@ -624,10 +509,8 @@ class FrontierShard:
         shard_id: int,
         n_shards: int,
         n_parts: int,
-        spill_threshold: int | None = None,
+        spill_threshold: int,
     ):
-        import os
-
         self.shard_id = shard_id
         self.lo = shard_id * n_parts // n_shards
         self.hi = (shard_id + 1) * n_parts // n_shards
@@ -635,11 +518,7 @@ class FrontierShard:
         self.buf: list[pa.Table] = []
         self.cur: pa.Table | None = None
         self.cur_parts = None  # numpy mirror of cur["part"] for slicing
-        self.spill_threshold = (
-            spill_threshold
-            if spill_threshold is not None
-            else int(os.environ.get("GRAFT_FRONTIER_SPILL_ROWS", 0))
-        )
+        self.spill_threshold = spill_threshold
         self.spill_dir: str | None = None
         self.spill_path: str | None = None  # set while cur lives on disk
         self.offsets = None  # (n_parts+1,) int64 row offsets when spilled

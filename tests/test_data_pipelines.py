@@ -2217,9 +2217,11 @@ def test_mad_outliers_planted_even_count_and_dev_collision(tmp_path):
 
 def test_corr_planted_exact_and_zero_variance(tmp_path):
     """Engine float equals the DuckDB oracle BIT-FOR-BIT on a planted
-    file, including a zero-variance group: there the exact-integer
-    numerator is provably 0 too, so both engines evaluate 0/0 (NaN on
-    the numpy side, NULL→NaN through pandas on the DuckDB side)."""
+    file, including a zero-variance group: there both engines return
+    NULL (NaN through pandas), and the engine divides by no zero, so
+    it raises no RuntimeWarning."""
+    import warnings
+
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -2236,8 +2238,12 @@ def test_corr_planted_exact_and_zero_variance(tmp_path):
         ),
         str(tmp_path / "lineitem.parquet"),
     )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = relational.q_corr_qty_discount(str(tmp_path))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     out = (
-        _to_df(relational.q_corr_qty_discount(str(tmp_path)))
+        _to_df(res)
         .sort_values("l_returnflag")
         .reset_index(drop=True)
     )

@@ -340,24 +340,3 @@ def test_q9_geo_boost_pure_parts():
     assert compute_geo_boost("new york", "", "", "snippet about new york") == 1.0
     assert compute_geo_boost("new york", "boston", "http://x/", "nothing") == 0.0
     assert compute_geo_boost(None, "new york", "", "") == 0.0
-
-
-def test_pagerank_ranks_as_dataset_matches_driver_path(engine_pages, ray_session):
-    """VERDICT r2 stretch: the fully distributed rank update (ranks as
-    a Dataset joined to edges, no O(V) driver vectors) must reproduce
-    the driver-vector path's result on the fixture."""
-    import numpy as np
-    from distributed_web_search_engine_crawler_indexing_pagerank__ray.pipelines.pagerank import (
-        run_pagerank,
-    )
-
-    a = run_pagerank(engine_pages).to_pandas().sort_values("url_hash")
-    b = (
-        run_pagerank(engine_pages, ranks_as_dataset=True)
-        .to_pandas()
-        .sort_values("url_hash")
-    )
-    assert list(a["url_hash"]) == list(b["url_hash"])
-    assert np.allclose(
-        a["pagerank"].to_numpy(), b["pagerank"].to_numpy(), atol=1e-12
-    )

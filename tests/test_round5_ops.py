@@ -183,6 +183,54 @@ def test_source_divergence_multi_block_matches_duckdb(tmp_path):
     assert np.allclose(a["kl"].to_numpy(), b["kl"].to_numpy(), atol=1e-9)
 
 
+def _duckdb_rows(sf: str, sql: str) -> list[dict]:
+    import duckdb
+
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM read_parquet('{sf}/documents.parquet')"
+    )
+    return con.execute(sql).fetch_arrow_table().to_pylist()
+
+
+def test_source_divergence_null_source_matches_duckdb(tmp_path):
+    """A document whose source is NULL forms one NULL-source group, as
+    SQL's GROUP BY keeps it; its tokens count toward the corpus."""
+    sf = _write_docs(
+        tmp_path,
+        [
+            (0, "a b c a", "s1"),
+            (1, "b d d", None),
+            (2, "c e e a", "s2"),
+            (3, "d", "s1"),
+        ],
+    )
+    key = lambda r: (r["source"] is None, r["source"] or "")  # noqa: E731
+    got = sorted(traindata.q_source_divergence(sf).to_pylist(), key=key)
+    want = sorted(_duckdb_rows(sf, traindata.SQL_SOURCE_DIVERGENCE), key=key)
+    assert [r["source"] for r in got] == [r["source"] for r in want]
+    assert [r["source"] for r in got] == ["s1", "s2", None]
+    assert [r["n_tokens"] for r in got] == [r["n_tokens"] for r in want]
+    assert np.allclose(
+        [r["kl"] for r in got], [r["kl"] for r in want], atol=1e-9
+    )
+
+
+def test_vocab_head_coverage_empty_corpus_matches_duckdb(tmp_path):
+    """No document has a token: the sums over no words are NULL, as in
+    SQL, not 0; ``k`` stays the head size."""
+    sf = _write_docs(
+        tmp_path, [(0, "", "s1"), (1, None, "s1"), (2, "123 !!", "s2")]
+    )
+    got = traindata.q_vocab_head_coverage(sf).to_pylist()
+    want = _duckdb_rows(sf, traindata.SQL_VOCAB_HEAD_COVERAGE)
+    assert got == want
+    assert got == [
+        {"k": traindata.HEAD_K, "head_mass": None, "total_tokens": None,
+         "coverage": None}
+    ]
+
+
 def test_order_count_distribution_zero_bin(tmp_path):
     """Customers with no orders land in the c_count=0 bin; the
     histogram is exact and sorted (custdist DESC, c_count DESC)."""
