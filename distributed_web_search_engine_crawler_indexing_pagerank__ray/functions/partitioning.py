@@ -41,16 +41,45 @@ rows of a key together (per-user ordered scans, left-join per-key
 aggregates), salting would change semantics; those docstrings state
 the per-key bound they rely on instead.
 
+The bucketed exchange: :func:`bucketed` is the one wide step of the
+word/gram/doc-keyed curation operators — hash-partition a dataset on a
+key column into ``nb`` buckets and run a kernel once per bucket, so
+every row of a key value meets in one call.  It owns the bucket rule,
+one per key type (the same rules the hand-written phases used, so a
+row lands in the same bucket):
+
+- string keys: the top 32 bits of the md5 of the value (hashed once
+  per DISTINCT value of a block);
+- uint64 keys (md5-digest lanes, e.g. gram hashes): ``key >> 32``;
+- integer ids: the id itself;
+
+each ``& (nb - 1)``.  The exchange stays ``groupby(bucket).map_groups``,
+so the executed plans keep the Sort exchange they had and each kernel
+call holds exactly one bucket (pandas or arrow); a hash
+``repartition`` is the candidate replacement, not yet measured
+against it.  A pandas kernel result
+leaves as a ``pa.Table`` with its schema metadata stripped: pandas
+metadata makes the block schema unhashable, defeating Ray's
+block-schema dedup, and downstream aggregates run ~10× slower on
+pandas blocks.  :func:`bucket_sums` is the doc-keyed partial-sum form
+on top of it: per-bucket ``pa.Table.group_by(key).aggregate``, so
+int64 sums never pass through pandas or float64.
+
 Knobs (read at query-build time so tests can force them):
 - ``GRAFT_ROWS_PER_BUCKET``: target rows per bucket (default 500_000).
 - ``GRAFT_JOIN_SALT``: forced sub-bucket count for the salted joins
-  (power of two; unset = derive from the heavy-hitter probe).
+  (power of two; unset = derive from the heavy-hitter probe), read by
+  :func:`auto_salt_count`.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 TARGET_ROWS_PER_BUCKET = 500_000
@@ -82,14 +111,6 @@ def bucket_count(
     return max(min_buckets, min(next_pow2(need), max_buckets))
 
 
-def salt_count() -> int:
-    """Forced sub-bucket count for hot-key salting (power of two;
-    1 = off).  This is the env-only knob; the salted joins call
-    :func:`auto_salt_count` instead, which falls back to this when
-    ``GRAFT_JOIN_SALT`` is set."""
-    return next_pow2(int(os.environ.get("GRAFT_JOIN_SALT", 1)))
-
-
 # heavy-hitter probe: sample cap, salt ceiling, per-file memo
 SALT_SAMPLE_ROWS = 100_000
 MAX_SALT = 64
@@ -106,7 +127,6 @@ def hot_key_share(path: str, column: str,
     within a run.  This is the cheap skew detector behind
     :func:`auto_salt_count` — the reference's own partitioner has no
     skew handling at all (``src/tools/Partitioner.java:62-132``)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     key = (path, column)
@@ -189,3 +209,69 @@ def parquet_token_estimate(
                 if g.column(i).path_in_schema == column:
                     total += g.column(i).total_uncompressed_size
     return max(rows, total // max(1, bytes_per_token))
+
+
+BUCKET = "_bucket"  # the exchange column bucketed() adds and groups on
+
+
+def _bucket_ids(keys, nb: int) -> pa.Array:
+    """int32 bucket of each key value — the per-type rules of the
+    module docstring."""
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    if pa.types.is_string(keys.type) or pa.types.is_large_string(keys.type):
+        enc = keys.fill_null("").dictionary_encode()
+        digests = b"".join(
+            hashlib.md5(v.encode()).digest()
+            for v in enc.dictionary.to_pylist()
+        )
+        top = np.frombuffer(digests, ">u4").reshape(-1, 4)[:, 0]
+        ids = top.astype(np.int64)[enc.indices.to_numpy()]
+    elif pa.types.is_uint64(keys.type):
+        ids = (keys.to_numpy() >> np.uint64(32)).astype(np.int64)
+    else:
+        ids = keys.to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.array((ids & (nb - 1)).astype(np.int32))
+
+
+def bucketed(ds, key: str, nb: int, fn, *, batch_format: str = "pandas"):
+    """Hash-partition ``ds`` on ``key`` into ``nb`` buckets and run
+    ``fn`` once per bucket (``nb`` a power of two, from
+    :func:`bucket_count`).  ``fn`` gets the bucket's rows as a
+    ``batch_format`` batch (plus the ``BUCKET`` column) and returns a
+    ``pa.Table`` or a pandas frame, which leaves as a metadata-free
+    ``pa.Table``."""
+
+    def add_bucket(t: pa.Table) -> pa.Table:
+        return t.append_column(BUCKET, _bucket_ids(t[key], nb))
+
+    @functools.wraps(fn)
+    def per_bucket(g):
+        out = fn(g)
+        if isinstance(out, pa.Table):
+            return out
+        return pa.Table.from_pandas(
+            out, preserve_index=False
+        ).replace_schema_metadata(None)
+
+    return (
+        ds.map_batches(add_bucket, batch_format="pyarrow")
+        .groupby(BUCKET)
+        .map_groups(per_bucket, batch_format=batch_format)
+    )
+
+
+def bucket_sums(ds, key: str, nb: int, aggs: dict[str, tuple]):
+    """One row per ``key`` value from per-bucket partial rows:
+    ``aggs`` maps each output column to a pyarrow aggregation tuple,
+    e.g. ``{"n_tokens": ("n", "sum"), "is_t": ("is_t", "max")}``.
+    Output columns are ``key`` then ``aggs`` in order."""
+    names = [key, *(f"{a[0]}_{a[1]}" for a in aggs.values())]
+
+    def fold(t: pa.Table) -> pa.Table:
+        out = t.group_by(key, use_threads=False).aggregate(
+            list(aggs.values())
+        )
+        return out.select(names).rename_columns([key, *aggs])
+
+    return bucketed(ds, key, nb, fold, batch_format="pyarrow")

@@ -18,6 +18,7 @@ from ..sources.tables import read_parquet_clean
 from ..functions.partitioning import (
     auto_salt_count,
     bucket_count,
+    bucketed,
     next_pow2,
     parquet_rows,
 )
@@ -3910,7 +3911,10 @@ def q_returned_items(sf_dir: str):
                 "custkey": pc.take(
                     pc.cast(t["o_custkey"], pa.int64()), pa.array(ridx)
                 ),
-                "rev": pa.nulls(len(ridx), pa.int64()),
+                # 0, not NULL, for the lane a side lacks: a NULL turns
+                # the int64 column float64 in the pandas join, rounding
+                # revenues above 2^53
+                "rev": pa.array(np.zeros(len(ridx), np.int64)),
             }
         )
 
@@ -3937,7 +3941,7 @@ def q_returned_items(sf_dir: str):
                 "bucket": pa.array(bucket, pa.int32()),
                 "key": pa.array(k[idx], pa.int64()),
                 "side": pa.array(["l"] * len(idx), pa.string()),
-                "custkey": pa.nulls(len(idx), pa.int64()),
+                "custkey": pa.array(np.zeros(len(idx), np.int64)),
                 "rev": pc.take(g["rev"], pa.array(idx)),
             }
         )
@@ -3964,30 +3968,17 @@ def q_returned_items(sf_dir: str):
             out, preserve_index=False
         ).replace_schema_metadata(None)
 
-    def cust_bucket(t: pa.Table) -> pa.Table:
-        cb = pc.cast(
-            pc.bit_wise_and(t["custkey"], pa.scalar(B - 1)), pa.int32()
-        )
-        return t.append_column("cbucket", cb)
-
-    def top_bucket(g: pd.DataFrame) -> pa.Table:
+    def top_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("custkey", as_index=False)["rev"].sum()
-        out = out.sort_values(
+        return out.sort_values(
             ["rev", "custkey"], ascending=[False, True]
         ).head(Q10_TOPN)
-        out = out.astype({"custkey": "int64", "rev": "int64"})
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
 
-    cands = (
-        tagged.groupby("bucket")
-        .map_groups(join_bucket, batch_format="pandas")
-        .map_batches(cust_bucket, batch_format="pyarrow")
-        .groupby("cbucket")
-        .map_groups(top_bucket, batch_format="pandas")
-        .to_pandas()  # buckets × 20 candidate rows
+    joined = tagged.groupby("bucket").map_groups(
+        join_bucket, batch_format="pandas"
     )
+    # buckets × 20 candidate rows
+    cands = bucketed(joined, "custkey", B, top_bucket).to_pandas()
     if len(cands) == 0:
         return pa.table(
             {

@@ -1080,13 +1080,13 @@ def q_rare_token_docs(sf_dir: str):
     bucket, so its df AND the join back to its (doc, word) pairs both
     happen inside the bucket with vectorized pandas — then a
     doc-bucketed sum of the per-bucket per-doc partials."""
-    import hashlib
-
-    import numpy as np
-
-    from ..functions.partitioning import bucket_count, parquet_token_estimate
-
-    from ..functions.partitioning import parquet_rows
+    from ..functions.partitioning import (
+        bucket_count,
+        bucket_sums,
+        bucketed,
+        parquet_rows,
+        parquet_token_estimate,
+    )
 
     nb = bucket_count(
         parquet_token_estimate(f"{sf_dir}/documents.parquet"), min_buckets=32
@@ -1096,55 +1096,26 @@ def q_rare_token_docs(sf_dir: str):
     def distinct_pairs(t: pa.Table) -> pa.Table:
         parents, words = _flat_words(t)
         docs = pc.take(t["doc_id"].combine_chunks(), parents)
-        distinct = (
+        return (
             pa.table({"doc_id": pc.cast(docs, pa.int64()), "word": words})
             .group_by(["doc_id", "word"])
             .aggregate([])
         )
-        w = distinct["word"].to_pandas()
-        bmap = {
-            x: int(hashlib.md5(x.encode()).hexdigest()[:8], 16) & (nb - 1)
-            for x in w.unique()
-        }
-        return distinct.append_column(
-            "bucket", pa.array(w.map(bmap).to_numpy(np.int32), pa.int32())
-        )
 
     pairs = _docs(sf_dir).map_batches(distinct_pairs, batch_format="pyarrow")
 
-    def rare_bucket(g: pd.DataFrame) -> pa.Table:
+    def rare_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # df per word is COMPLETE within this bucket (word → one bucket)
         df = g.groupby("word")["doc_id"].transform("size")
         rare = g[df.to_numpy() * RARE_DF_DIV <= n_docs]
-        out = rare.groupby("doc_id", as_index=False).size()
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
-                "n": pa.array(out["size"].to_numpy(np.int64)),
-            }
-        )
+        return rare.groupby("doc_id", as_index=False).size()
 
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        db = pc.cast(pc.bit_wise_and(t["doc_id"], pa.scalar(nb - 1)), pa.int32())
-        return t.append_column("dbucket", db)
-
-    def sum_doc_bucket(g: pd.DataFrame) -> pa.Table:
-        out = g.groupby("doc_id", as_index=False)["n"].sum()
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
-                "n_rare": pa.array(out["n"].to_numpy(np.int64)),
-            }
-        )
-
-    out = (
-        pairs.groupby("bucket")
-        .map_groups(rare_bucket, batch_format="pandas")
-        .map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(sum_doc_bucket, batch_format="pandas")
-        .materialize()
-    )
+    out = bucket_sums(
+        bucketed(pairs, "word", nb, rare_bucket),
+        "doc_id",
+        nb,
+        {"n_rare": ("size", "sum")},
+    ).materialize()
     if out.count() == 0:
         # typed empty-schema guard (a df-tail-free corpus yields 0
         # rows, and an empty Dataset loses its column schema)
@@ -1154,7 +1125,7 @@ def q_rare_token_docs(sf_dir: str):
                 "n_rare": pa.array([], pa.int64()),
             }
         )
-    return out.drop_columns(["dbucket"]) if "dbucket" in out.schema().names else out
+    return out
 
 
 SQL_RARE_TOKEN_DOCS = f"""

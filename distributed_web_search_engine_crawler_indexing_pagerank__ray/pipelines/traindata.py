@@ -15,6 +15,10 @@ contamination / repetition signal must see function words too; the
 SQL oracles replicate it with ``string_split_regex`` + ``list_filter``.
 
 Scale notes (100 TB):
+- every word/gram/doc-keyed exchange here is one
+  ``partitioning.bucketed`` call (per-doc partial sums:
+  ``partitioning.bucket_sums``), so nothing is broadcast and each
+  bucket holds ≤ ~target rows.
 - ``contamination_check`` never broadcasts the benchmark gram set: it
   hash-buckets grams and marks membership inside per-bucket vectorized
   merges (same partitioned-hash-join shape as ``q_join_shuffle``).
@@ -42,7 +46,12 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..sources.tables import read_parquet_clean
-from ..functions.partitioning import bucket_count, parquet_token_estimate
+from ..functions.partitioning import (
+    bucket_count,
+    bucket_sums,
+    bucketed,
+    parquet_token_estimate,
+)
 from ..functions.tokenize import MAX_WORD_LENGTH
 
 GRAM_N = 5  # word-level n-gram order for the contamination check
@@ -119,17 +128,16 @@ def _flat_tokens(
 
 _EMPTY_GRAMS = pa.table(
     {
-        "bucket": pa.array([], pa.int32()),
         "gh": pa.array([], pa.uint64()),
         "doc_id": pa.array([], pa.int64()),
     }
 )
 
 
-def _gram_table(t: pa.Table, nb: int) -> pa.Table:
+def _gram_table(t: pa.Table) -> pa.Table:
     """Per-doc DISTINCT word 5-grams as UINT64 hashes (first 8 bytes of
     the md5, big-endian — what the SQL oracle recomputes with
-    ``('0x' || substr(md5(g), 1, 16))::UBIGINT``), bucketed by hash.
+    ``('0x' || substr(md5(g), 1, 16))::UBIGINT``).
     8-byte keys instead of 32-char hex strings: ~4× smaller gram
     shuffle and integer (not string) group/isin kernels downstream.
     Tokenize + gram construction + per-doc dedup are vectorized
@@ -157,14 +165,8 @@ def _gram_table(t: pa.Table, nb: int) -> pa.Table:
         np.frombuffer(digests, dtype=">u8").reshape(-1, 2)[:, 0]
         .astype(np.uint64)
     )
-    # same bucket as before the uint64 switch: the top 4 bytes of the
-    # md5 (& nb-1); bucket choice is result-invariant anyway
-    buckets = ((gh >> np.uint64(32)).astype(np.int64) & (nb - 1)).astype(
-        np.int32
-    )
     return pa.table(
         {
-            "bucket": pa.array(buckets),
             "gh": pa.array(gh, pa.uint64()),
             "doc_id": pa.array(df["doc_id"].to_numpy(), pa.int64()),
         }
@@ -187,74 +189,28 @@ def q_contamination_check(sf_dir: str):
         parquet_token_estimate(f"{sf_dir}/documents.parquet"),
         min_buckets=NB_FLOOR,
     )
-    grams = _docs(sf_dir).map_batches(
-        _gram_table, batch_format="pyarrow", fn_args=(nb,)
-    )
+    grams = _docs(sf_dir).map_batches(_gram_table, batch_format="pyarrow")
 
-    # returns ARROW: the downstream Ray aggregate is ~10x slower on
-    # pandas blocks than arrow blocks (measured 16 s vs 1.5 s on this
-    # very reduce at sf0.1) — group fns feeding an aggregate must emit
-    # pa.Table, same rule as the r2 "arrow-native group fns" fix
-    def mark_bucket(g: pd.DataFrame) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "hit": pa.array([], pa.int64()),
-            }
-        )
+    def mark_bucket(g: pd.DataFrame) -> pd.DataFrame:
         is_bench = g["doc_id"] % BENCH_MOD == 0
-        bench_ghs = g.loc[is_bench, "gh"].unique()
         d = g.loc[~is_bench, ["doc_id", "gh"]]
-        if len(d) == 0:
-            return empty
-        hit = d["gh"].isin(bench_ghs).astype("int64")
-        out = (
+        hit = d["gh"].isin(g.loc[is_bench, "gh"].unique()).astype("int64")
+        return (
             pd.DataFrame({"doc_id": d["doc_id"], "n": 1, "hit": hit})
             .groupby("doc_id", as_index=False)
             .sum()
-        )
-        out = out.astype({"doc_id": "int64", "n": "int64", "hit": "int64"})
-        # strip the pandas metadata dict: it makes the block schema
-        # unhashable and defeats Ray's block-schema dedup (same reason
-        # read_parquet_clean strips parquet metadata)
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    # second phase: sum the ≤nb per-bucket partials of each doc.  A
-    # bucketed map_groups on a doc-hash bucket instead of
-    # groupby(doc_id).aggregate(Sum, Sum): Ray's sort-based Aggregate
-    # spent ~24 s remote on this tiny (≤ nb·n_docs rows) stream at
-    # sf0.1 (per-block × per-partition accumulator overhead), the
-    # plain Sort+map_groups shape ~0.4 s — same distributed memory
-    # bounds (one doc-bucket per task, ≤ target rows)
-    def sum_doc_bucket(g: pd.DataFrame) -> pa.Table:
-        out = (
-            g.groupby("doc_id", as_index=False)[["n", "hit"]]
-            .sum()
-            .astype({"doc_id": "int64", "n": "int64", "hit": "int64"})
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy()),
-                "n_grams": pa.array(out["n"].to_numpy()),
-                "n_contaminated": pa.array(out["hit"].to_numpy()),
-            }
+            .astype("int64")
         )
 
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        db = pc.cast(
-            pc.bit_wise_and(t["doc_id"], pa.scalar(nb - 1)), pa.int32()
-        )
-        return t.append_column("dbucket", db)
-
-    per_doc = (
-        grams.groupby("bucket")
-        .map_groups(mark_bucket, batch_format="pandas")
-        .map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(sum_doc_bucket, batch_format="pandas")
+    # second phase: sum the ≤nb per-bucket partials of each doc in
+    # doc-hash buckets, not groupby(doc_id).aggregate: Ray's sort-based
+    # Aggregate spent ~24 s remote on this tiny (≤ nb·n_docs rows)
+    # stream at sf0.1, the bucketed shape ~0.4 s
+    per_doc = bucket_sums(
+        bucketed(grams, "gh", nb, mark_bucket),
+        "doc_id",
+        nb,
+        {"n_grams": ("n", "sum"), "n_contaminated": ("hit", "sum")},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -275,14 +231,7 @@ def q_contamination_check(sf_dir: str):
             ),
             pa.scalar(1e6),
         )
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_grams": pc.cast(t["n_grams"], pa.int64()),
-                "n_contaminated": pc.cast(t["n_contaminated"], pa.int64()),
-                "contamination_frac": frac,
-            }
-        )
+        return t.append_column("contamination_frac", frac)
 
     out = per_doc.map_batches(finish, batch_format="pyarrow")
     return out.sort(
@@ -413,12 +362,11 @@ def q_lm_unigram_score(sf_dir: str):
 
     def doc_counts(t: pa.Table) -> pa.Table:
         # vectorized: flat tokens → one pandas groupby for the per-doc
-        # word counts; md5 only over the batch's DISTINCT words
+        # word counts
         parents, toks = _flat_tokens(t)
         if len(parents) == 0:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int32()),
                     "doc_id": pa.array([], pa.int64()),
                     "word": pa.array([], pa.string()),
                     "c": pa.array([], pa.int64()),
@@ -430,16 +378,9 @@ def q_lm_unigram_score(sf_dir: str):
             .size()
             .reset_index(name="c")
         )
-        bmap = {
-            w: int(hashlib.md5(w.encode()).hexdigest()[:8], 16) & (nb - 1)
-            for w in pd.unique(wc["word"])
-        }
         all_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(
-                    wc["word"].map(bmap).to_numpy(np.int32), pa.int32()
-                ),
                 "doc_id": pa.array(all_ids[wc["p"].to_numpy()], pa.int64()),
                 "word": pa.array(wc["word"], pa.string()),
                 "c": pa.array(wc["c"].to_numpy(np.int64), pa.int64()),
@@ -448,9 +389,7 @@ def q_lm_unigram_score(sf_dir: str):
 
     dc = _docs(sf_dir).map_batches(doc_counts, batch_format="pyarrow")
 
-    # returns ARROW — see mark_bucket: aggregate on pandas blocks is
-    # ~10x slower than on arrow blocks
-    def score_bucket(g: pd.DataFrame) -> pa.Table:
+    def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # corpus frequency of each word in this bucket = sum over docs
         cw = g.groupby("word")["c"].sum()
         prod = g["c"].to_numpy(dtype=np.int64) * cw.loc[
@@ -459,47 +398,17 @@ def q_lm_unigram_score(sf_dir: str):
         out = pd.DataFrame(
             {"doc_id": g["doc_id"], "n": g["c"], "prod": prod}
         ).groupby("doc_id", as_index=False).sum()
-        out = out.astype({"doc_id": "int64", "n": "int64", "prod": "int64"})
-        # metadata-free schema — see mark_bucket
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    # second phase: sum each doc's ≤nb per-bucket partials via a
-    # bucketed map_groups on a doc-hash bucket — Ray's sort-based
-    # Aggregate is ~50× slower on this tiny stream (see
-    # q_contamination_check's sum_doc_bucket note)
-    def sum_doc_bucket(g: pd.DataFrame) -> pa.Table:
-        out = (
-            g.groupby("doc_id", as_index=False)[["n", "prod"]]
-            .sum()
-            .astype({"doc_id": "int64", "n": "int64", "prod": "int64"})
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy()),
-                "n_tokens": pa.array(out["n"].to_numpy()),
-                "p": pa.array(out["prod"].to_numpy()),
-            }
-        )
-
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        db = pc.cast(
-            pc.bit_wise_and(t["doc_id"], pa.scalar(nb - 1)), pa.int32()
-        )
-        return t.append_column("dbucket", db)
+        return out.astype("int64")
 
     # per_doc is doc-sized (3 ints per doc) — materializing it is the
     # cheap way to read the global token total off it without a second
     # pass over the word-level stream
-    per_doc = (
-        dc.groupby("bucket")
-        .map_groups(score_bucket, batch_format="pandas")
-        .map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(sum_doc_bucket, batch_format="pandas")
-        .materialize()
-    )
+    per_doc = bucket_sums(
+        bucketed(dc, "word", nb, score_bucket),
+        "doc_id",
+        nb,
+        {"n_tokens": ("n", "sum"), "p": ("prod", "sum")},
+    ).materialize()
     total = per_doc.aggregate(Sum("n_tokens", alias_name="s"))["s"] or 0
 
     def finish(t: pa.Table) -> pa.Table:
@@ -518,7 +427,7 @@ def q_lm_unigram_score(sf_dir: str):
         return pa.table(
             {
                 "doc_id": t["doc_id"],
-                "n_tokens": pc.cast(t["n_tokens"], pa.int64()),
+                "n_tokens": t["n_tokens"],
                 "lm_score": score,
             }
         )
@@ -579,7 +488,6 @@ def q_lm_bigram_score(sf_dir: str):
 
     _empty = pa.table(
         {
-            "bucket": pa.array([], pa.int32()),
             "doc_id": pa.array([], pa.int64()),
             "bigram": pa.array([], pa.string()),
             "c": pa.array([], pa.int64()),
@@ -603,17 +511,9 @@ def q_lm_bigram_score(sf_dir: str):
             .size()
             .reset_index(name="c")
         )
-        # md5 only over the batch's DISTINCT bigrams (lm_unigram shape)
-        bmap = {
-            b: int(hashlib.md5(b.encode()).hexdigest()[:8], 16) & (nb - 1)
-            for b in pd.unique(bc["bigram"])
-        }
         all_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(
-                    bc["bigram"].map(bmap).to_numpy(np.int32), pa.int32()
-                ),
                 "doc_id": pa.array(all_ids[bc["p"].to_numpy()], pa.int64()),
                 "bigram": pa.array(bc["bigram"], pa.string()),
                 "c": pa.array(bc["c"].to_numpy(np.int64), pa.int64()),
@@ -622,8 +522,7 @@ def q_lm_bigram_score(sf_dir: str):
 
     dc = _docs(sf_dir).map_batches(doc_bigram_counts, batch_format="pyarrow")
 
-    # arrow-out map_groups — see q_lm_unigram_score's score_bucket note
-    def score_bucket(g: pd.DataFrame) -> pa.Table:
+    def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         cb = g.groupby("bigram")["c"].sum()
         prod = g["c"].to_numpy(dtype=np.int64) * cb.loc[
             g["bigram"]
@@ -631,39 +530,14 @@ def q_lm_bigram_score(sf_dir: str):
         out = pd.DataFrame(
             {"doc_id": g["doc_id"], "n": g["c"], "prod": prod}
         ).groupby("doc_id", as_index=False).sum()
-        out = out.astype({"doc_id": "int64", "n": "int64", "prod": "int64"})
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
+        return out.astype("int64")
 
-    def sum_doc_bucket(g: pd.DataFrame) -> pa.Table:
-        out = (
-            g.groupby("doc_id", as_index=False)[["n", "prod"]]
-            .sum()
-            .astype({"doc_id": "int64", "n": "int64", "prod": "int64"})
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy()),
-                "n_bigrams": pa.array(out["n"].to_numpy()),
-                "p": pa.array(out["prod"].to_numpy()),
-            }
-        )
-
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        db = pc.cast(
-            pc.bit_wise_and(t["doc_id"], pa.scalar(nb - 1)), pa.int32()
-        )
-        return t.append_column("dbucket", db)
-
-    per_doc = (
-        dc.groupby("bucket")
-        .map_groups(score_bucket, batch_format="pandas")
-        .map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(sum_doc_bucket, batch_format="pandas")
-        .materialize()
-    )
+    per_doc = bucket_sums(
+        bucketed(dc, "bigram", nb, score_bucket),
+        "doc_id",
+        nb,
+        {"n_bigrams": ("n", "sum"), "p": ("prod", "sum")},
+    ).materialize()
     total = per_doc.aggregate(Sum("n_bigrams", alias_name="s"))["s"] or 0
 
     def finish(t: pa.Table) -> pa.Table:
@@ -681,7 +555,7 @@ def q_lm_bigram_score(sf_dir: str):
         return pa.table(
             {
                 "doc_id": t["doc_id"],
-                "n_bigrams": pc.cast(t["n_bigrams"], pa.int64()),
+                "n_bigrams": t["n_bigrams"],
                 "lm2_score": score,
             }
         )
@@ -1233,7 +1107,6 @@ def q_dup_spans(sf_dir: str):
 
     _EMPTY_POS = pa.table(
         {
-            "bucket": pa.array([], pa.int32()),
             "gh": pa.array([], pa.uint64()),
             "gh2": pa.array([], pa.uint64()),
             "doc_id": pa.array([], pa.int64()),
@@ -1263,12 +1136,8 @@ def q_dup_spans(sf_dir: str):
         first_idx = np.searchsorted(parents, parents, side="left")
         pos = (starts - first_idx[starts]).astype(np.int64)
         all_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        buckets = ((gh >> np.uint64(32)).astype(np.int64) & (nb - 1)).astype(
-            np.int32
-        )
         return pa.table(
             {
-                "bucket": pa.array(buckets),
                 "gh": pa.array(gh, pa.uint64()),
                 "gh2": pa.array(gh2, pa.uint64()),
                 "doc_id": pa.array(all_ids[parents[starts]], pa.int64()),
@@ -1282,25 +1151,13 @@ def q_dup_spans(sf_dir: str):
 
     # per gh-bucket: every occurrence of each gram is here, so the
     # ≥2-distinct-docs test and the position semi-join are one task
-    def dup_positions(g: pd.DataFrame) -> pa.Table:
+    def dup_positions(g: pd.DataFrame) -> pd.DataFrame:
         # gram key = (gh, gh2) — the full 128-bit digest, not just the
         # bucketing half; a transform-nunique keeps it one vectorized op
         nun = g.groupby(["gh", "gh2"])["doc_id"].transform("nunique")
-        d = g[nun.to_numpy() >= 2]
-        return pa.table(
-            {
-                "doc_id": pa.array(d["doc_id"].to_numpy(np.int64)),
-                "pos": pa.array(d["pos"].to_numpy(np.int64)),
-            }
-        )
+        return g.loc[nun.to_numpy() >= 2, ["doc_id", "pos"]]
 
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        db = pc.cast(
-            pc.bit_wise_and(t["doc_id"], pa.scalar(nb - 1)), pa.int32()
-        )
-        return t.append_column("dbucket", db)
-
-    def cover_doc_bucket(g: pd.DataFrame) -> pa.Table:
+    def cover_doc_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "pos"])
         ids = g["doc_id"].to_numpy(np.int64)
         pos = g["pos"].to_numpy(np.int64)
@@ -1309,32 +1166,17 @@ def q_dup_spans(sf_dir: str):
         new_doc = np.r_[True, ids[1:] != ids[:-1]]
         gap = np.r_[np.int64(GRAM_N), pos[1:] - pos[:-1]]
         contrib = np.where(new_doc, GRAM_N, np.minimum(gap, GRAM_N))
-        out = (
+        return (
             pd.DataFrame(
                 {"doc_id": ids, "dup_starts": 1, "dup_tokens": contrib}
             )
             .groupby("doc_id", as_index=False)
             .sum()
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
-                "dup_starts": pa.array(
-                    out["dup_starts"].to_numpy(np.int64)
-                ),
-                "dup_tokens": pa.array(
-                    out["dup_tokens"].to_numpy(np.int64)
-                ),
-            }
+            .astype("int64")
         )
 
-    return (
-        occurrences.groupby("bucket")
-        .map_groups(dup_positions, batch_format="pandas")
-        .map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(cover_doc_bucket, batch_format="pandas")
-    )
+    dups = bucketed(occurrences, "gh", nb, dup_positions)
+    return bucketed(dups, "doc_id", nb, cover_doc_bucket)
 
 
 SQL_DUP_SPANS = f"""
@@ -1566,7 +1408,6 @@ def q_dsir_weights(sf_dir: str):
         if len(parents) == 0:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int32()),
                     "doc_id": pa.array([], pa.int64()),
                     "is_t": pa.array([], pa.bool_()),
                     "word": pa.array([], pa.string()),
@@ -1579,10 +1420,6 @@ def q_dsir_weights(sf_dir: str):
             .size()
             .reset_index(name="c")
         )
-        bmap = {
-            w: int(hashlib.md5(w.encode()).hexdigest()[:8], 16) & (nb - 1)
-            for w in pd.unique(wc["word"])
-        }
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         is_t = pc.equal(
             t["lang"], pa.scalar(DSIR_TARGET_LANG)
@@ -1590,9 +1427,6 @@ def q_dsir_weights(sf_dir: str):
         p = wc["p"].to_numpy()
         return pa.table(
             {
-                "bucket": pa.array(
-                    wc["word"].map(bmap).to_numpy(np.int32), pa.int32()
-                ),
                 "doc_id": pa.array(ids[p], pa.int64()),
                 "is_t": pa.array(is_t[p], pa.bool_()),
                 "word": pa.array(wc["word"], pa.string()),
@@ -1602,7 +1436,7 @@ def q_dsir_weights(sf_dir: str):
 
     dc = docs.map_batches(doc_counts, batch_format="pyarrow")
 
-    def weight_bucket(g: pd.DataFrame) -> pa.Table:
+    def weight_bucket(g: pd.DataFrame) -> pd.DataFrame:
         c = g["c"].to_numpy(np.int64)
         ct = (
             pd.Series(np.where(g["is_t"].to_numpy(bool), c, 0))
@@ -1630,53 +1464,17 @@ def q_dsir_weights(sf_dir: str):
         )
         # one vocab-stats sentinel row per bucket: doc_id = -1 carries
         # this bucket's distinct-word count in ``n``
-        out = pd.concat(
-            [
-                out,
-                pd.DataFrame(
-                    {"doc_id": [-1], "is_t": [False],
-                     "n": [len(ct)], "p": [0]}
-                ),
-            ],
-            ignore_index=True,
+        sentinel = pd.DataFrame(
+            {"doc_id": [-1], "is_t": [False], "n": [len(ct)], "p": [0]}
         )
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
-                "is_t": pa.array(out["is_t"].to_numpy(bool)),
-                "n": pa.array(out["n"].to_numpy(np.int64)),
-                "p": pa.array(out["p"].to_numpy(np.int64)),
-            }
-        )
+        return pd.concat([out, sentinel], ignore_index=True)
 
-    def add_doc_bucket(t: pa.Table) -> pa.Table:
-        db = pc.cast(
-            pc.bit_wise_and(t["doc_id"], pa.scalar(nb - 1)), pa.int32()
-        )
-        return t.append_column("dbucket", db)
-
-    def sum_doc_bucket(g: pd.DataFrame) -> pa.Table:
-        out = (
-            g.groupby("doc_id", as_index=False)
-            .agg(is_t=("is_t", "max"), n=("n", "sum"), p=("p", "sum"))
-        )
-        return pa.table(
-            {
-                "doc_id": pa.array(out["doc_id"].to_numpy(np.int64)),
-                "is_t": pa.array(out["is_t"].to_numpy(bool)),
-                "n": pa.array(out["n"].to_numpy(np.int64)),
-                "p": pa.array(out["p"].to_numpy(np.int64)),
-            }
-        )
-
-    per_doc = (
-        dc.groupby("bucket")
-        .map_groups(weight_bucket, batch_format="pandas")
-        .map_batches(add_doc_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(sum_doc_bucket, batch_format="pandas")
-        .materialize()
-    )
+    per_doc = bucket_sums(
+        bucketed(dc, "word", nb, weight_bucket),
+        "doc_id",
+        nb,
+        {"is_t": ("is_t", "max"), "n": ("n", "sum"), "p": ("p", "sum")},
+    ).materialize()
 
     def totals_partial(t: pa.Table) -> pa.Table:
         real = pc.greater_equal(t["doc_id"], pa.scalar(0, pa.int64()))
@@ -1794,7 +1592,6 @@ def q_source_divergence(sf_dir: str):
         if len(parents) == 0:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int32()),
                     "source": pa.array([], pa.string()),
                     "word": pa.array([], pa.string()),
                     "c": pa.array([], pa.int64()),
@@ -1809,15 +1606,8 @@ def q_source_divergence(sf_dir: str):
             .size()
             .reset_index(name="c")
         )
-        bmap = {
-            w: int(hashlib.md5(w.encode()).hexdigest()[:8], 16) & (nb - 1)
-            for w in pd.unique(sw["word"])
-        }
         return pa.table(
             {
-                "bucket": pa.array(
-                    sw["word"].map(bmap).to_numpy(np.int32), pa.int32()
-                ),
                 "source": pa.array(sw["source"], pa.string()),
                 "word": pa.array(sw["word"], pa.string()),
                 "c": pa.array(sw["c"].to_numpy(np.int64), pa.int64()),
@@ -1852,11 +1642,7 @@ def q_source_divergence(sf_dir: str):
         )
 
     # ≤ |sources| rows per bucket: a driver-side stitch, not a shuffle
-    parts = (
-        sc.groupby("bucket")
-        .map_groups(kl_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucketed(sc, "word", nb, kl_bucket).to_pandas()
     if len(parts) == 0:
         return pa.table(
             {
@@ -1952,7 +1738,6 @@ def q_vocab_head_coverage(sf_dir: str):
         if len(parents) == 0:
             return pa.table(
                 {
-                    "bucket": pa.array([], pa.int32()),
                     "word": pa.array([], pa.string()),
                     "c": pa.array([], pa.int64()),
                 }
@@ -1963,15 +1748,8 @@ def q_vocab_head_coverage(sf_dir: str):
             .size()
             .reset_index(name="c")
         )
-        bmap = {
-            w: int(hashlib.md5(w.encode()).hexdigest()[:8], 16) & (nb - 1)
-            for w in wc["word"]
-        }
         return pa.table(
             {
-                "bucket": pa.array(
-                    wc["word"].map(bmap).to_numpy(np.int32), pa.int32()
-                ),
                 "word": pa.array(wc["word"], pa.string()),
                 "c": pa.array(wc["c"].to_numpy(np.int64), pa.int64()),
             }
@@ -1992,13 +1770,8 @@ def q_vocab_head_coverage(sf_dir: str):
         )
         return out.astype({"c": "int64", "mass": "int64"})
 
-    parts = (
-        _docs(sf_dir)
-        .map_batches(word_partials, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(head_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    words = _docs(sf_dir).map_batches(word_partials, batch_format="pyarrow")
+    parts = bucketed(words, "word", nb, head_bucket).to_pandas()
     total = int(parts["mass"].sum()) if len(parts) else 0
     if total == 0:  # no tokens: SQL's sums over no rows are NULL
         return pa.table(

@@ -10,15 +10,16 @@ import pandas as pd
 import pytest
 
 from distributed_web_search_engine_crawler_indexing_pagerank__ray.functions.partitioning import (
+    auto_salt_count,
     bucket_count,
     next_pow2,
     parquet_rows,
     parquet_token_estimate,
-    salt_count,
 )
 from distributed_web_search_engine_crawler_indexing_pagerank__ray.pipelines import (
     events,
     relational,
+    textpipe,
     traindata,
 )
 
@@ -75,11 +76,16 @@ def test_row_estimates():
 
 
 def test_salt_count_env(monkeypatch):
-    assert salt_count() == 1  # off by default
+    """``GRAFT_JOIN_SALT`` overrides the heavy-hitter probe of
+    :func:`auto_salt_count`, rounded up to a power of two; unset, the
+    probe decides (salt 1 on sf0.001's near-uniform order keys)."""
+    path = f"{SF}/lineitem.parquet"
+    monkeypatch.delenv("GRAFT_JOIN_SALT", raising=False)
+    assert auto_salt_count(path, "l_orderkey") == 1  # the probe: no hot key
     monkeypatch.setenv("GRAFT_JOIN_SALT", "4")
-    assert salt_count() == 4
+    assert auto_salt_count(path, "l_orderkey") == 4
     monkeypatch.setenv("GRAFT_JOIN_SALT", "3")
-    assert salt_count() == 4  # rounded up to a power of two
+    assert auto_salt_count(path, "l_orderkey") == 4  # rounded up
 
 
 # -- B-invariance: forced-large B gives bit-identical results ------------------
@@ -93,6 +99,13 @@ FORCED = [
     ("asof_join", events.q_asof_join),
     ("contamination_check", traindata.q_contamination_check),
     ("lm_unigram_score", traindata.q_lm_unigram_score),
+    ("lm_bigram_score", traindata.q_lm_bigram_score),
+    ("dsir_weights", traindata.q_dsir_weights),
+    ("dup_spans", traindata.q_dup_spans),
+    ("source_divergence", traindata.q_source_divergence),
+    ("vocab_head_coverage", traindata.q_vocab_head_coverage),
+    ("rare_token_docs", textpipe.q_rare_token_docs),
+    ("returned_items", relational.q_returned_items),
 ]
 
 

@@ -272,3 +272,51 @@ def test_order_count_distribution_zero_bin(tmp_path):
     # driver's sort contract
     pairs = list(zip(out["custdist"], out["c_count"]))
     assert pairs == sorted(pairs, key=lambda p: (-p[0], -p[1]))
+
+
+def test_returned_items_revenue_above_2_53_is_exact(tmp_path):
+    """Q10 revenue is an exact int64 lane: a customer whose returned
+    revenue is an ODD value above 2^53 (not representable as float64)
+    must come back to the last unit, and equal the DuckDB oracle."""
+    import duckdb
+
+    # cents odd × (100 − 1 bp) odd ⇒ an odd int64 revenue above 2^53
+    cents = [90_981_810_653_951, 12_345]
+    price = [c / 100 for c in cents]
+    want = {7: cents[0] * 99, 8: cents[1] * 99}
+    assert want[7] > 2**53 and want[7] % 2 == 1
+    day = pd.Timestamp(relational.Q10_DATE_LO)
+    tables = {
+        "orders": {
+            "o_orderkey": pa.array([1, 2], pa.int64()),
+            "o_custkey": pa.array([7, 8], pa.int64()),
+            "o_orderdate": pa.array([day, day], pa.timestamp("us")),
+        },
+        "lineitem": {
+            "l_orderkey": pa.array([1, 2], pa.int64()),
+            "l_returnflag": pa.array(["R", "R"]),
+            "l_extendedprice": pa.array(price, pa.float64()),
+            "l_discount": pa.array([0.01, 0.01], pa.float64()),
+        },
+        "customer": {
+            "c_custkey": pa.array([7, 8], pa.int64()),
+            "c_name": pa.array(["c7", "c8"]),
+            "c_acctbal": pa.array([1.5, 2.5], pa.float64()),
+            "c_nationkey": pa.array([0, 0], pa.int32()),
+        },
+        "nation": {
+            "n_nationkey": pa.array([0], pa.int32()),
+            "n_name": pa.array(["N0"]),
+        },
+    }
+    con = duckdb.connect()
+    for name, cols in tables.items():
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.table(cols), path)
+        con.execute(
+            f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{path}')"
+        )
+    out = _to_df(relational.q_returned_items(str(tmp_path)))
+    assert dict(zip(out["c_custkey"], out["revenue_e4"])) == want
+    ref = con.execute(relational.SQL_RETURNED_ITEMS).df()
+    assert dict(zip(ref["c_custkey"], ref["revenue_e4"])) == want
