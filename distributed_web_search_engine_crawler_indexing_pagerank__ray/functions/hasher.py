@@ -45,6 +45,26 @@ def ref_hash(x: str) -> str:
     return b"".join([_U2PAIRS[u] for u in digest]).decode("ascii")
 
 
+def ref_hash_array(strings):
+    """:func:`ref_hash` of every string of an arrow string array, as an
+    arrow string array: one SHA-1 per string, then one lookup in the
+    table as little-endian ``uint16`` pairs over all the digests'
+    bytes."""
+    import numpy as np
+    import pyarrow as pa
+
+    sha1 = hashlib.sha1
+    digests = b"".join(
+        [sha1(b).digest() for b in strings.cast(pa.binary()).to_pylist()]
+    )
+    pairs = np.frombuffer(b"".join(_U2PAIRS), "<u2")
+    return pa.StringArray.from_buffers(
+        len(strings),
+        pa.py_buffer(np.arange(0, 40 * len(strings) + 1, 40, dtype=np.int32)),
+        pa.py_buffer(pairs[np.frombuffer(digests, np.uint8)]),
+    )
+
+
 _KEY_ALLOWED = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-")
 
 

@@ -313,6 +313,13 @@ _IX_BODY_CLOSE_RE = re.compile(r"</body>", re.I)
 
 
 def extract_body_text_index(html: str | None) -> str:
+    """``Indexer.extractBodyText`` (``Indexer.java:124-151``)."""
+    return _collapse_ws_strip(raw_body_text_index(html))
+
+
+def raw_body_text_index(html: str | None) -> str:
+    """:func:`extract_body_text_index` before its whitespace collapse,
+    which the Indexer job's ``[^a-z]+`` tokenizer makes redundant."""
     if html is None:
         return ""
     html = _IX_SCRIPT_RE.sub(" ", html)
@@ -326,13 +333,12 @@ def extract_body_text_index(html: str | None) -> str:
             if m2 is not None:
                 html = html[body_start:m2.start()]
     html = _IX_TAG_RE.sub(" ", html)
-    html = (
+    return (
         html.replace("&nbsp;", " ")
         .replace("&amp;", "&")
         .replace("&lt;", "<")
         .replace("&gt;", ">")
     )
-    return _collapse_ws_strip(html)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +349,13 @@ _TF_NAVBLOCK_RE = re.compile(r"(?is)<(nav|header|footer|aside)[^>]*>.*?</\1>")
 
 
 def extract_body_text_tfidf(html: str | None) -> str:
+    """``TfIdf.extractBodyText`` (``TfIdf.java:323-351``)."""
+    return _collapse_ws_strip(raw_body_text_tfidf(html))
+
+
+def raw_body_text_tfidf(html: str | None) -> str:
+    """:func:`extract_body_text_tfidf` before its whitespace collapse,
+    which the TfIdf job's ``[^a-z]+`` tokenizer makes redundant."""
     if not html:
         return ""
     cleaned = _PR_SCRIPT_RE.sub(" ", html)
@@ -357,13 +370,12 @@ def extract_body_text_tfidf(html: str | None) -> str:
                 cleaned = cleaned[close + 1 : body_end]
     cleaned = _TF_NAVBLOCK_RE.sub(" ", cleaned)
     cleaned = _IX_TAG_RE.sub(" ", cleaned)
-    cleaned = (
+    return (
         cleaned.replace("&nbsp;", " ")
         .replace("&amp;", "&")
         .replace("&lt;", "<")
         .replace("&gt;", ">")
     )
-    return _collapse_ws_strip(cleaned)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Reference:
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 
@@ -84,55 +85,90 @@ def query_tokens(raw_query: str | None) -> list[str]:
     ]
 
 
-_STOP_ARR_CACHE = None
-
-
+@functools.cache
 def _stop_arr():
-    global _STOP_ARR_CACHE
-    if _STOP_ARR_CACHE is None:
-        import pyarrow as pa
+    import pyarrow as pa
 
-        _STOP_ARR_CACHE = pa.array(sorted(STOP_WORDS), pa.string())
-    return _STOP_ARR_CACHE
+    return pa.array(sorted(STOP_WORDS), pa.string())
 
 
-def doc_token_counts(texts):
-    """Vectorized per-document term counts over a batch of texts — the
-    batched equivalent of ``word_counts`` per text (identical token
-    semantics: lowercase ``[^a-z]+`` split, len ≤ 25, stopword drop),
-    built from arrow kernels instead of a per-doc Python loop.
+# a-z stay, A-Z map to a-z, every other byte to a space: over
+# lowercased UTF-8 this makes the ``[^a-z]+`` split a whitespace split,
+# since bytes 0x41-0x5A and 0x61-0x7A never occur inside a multi-byte
+# sequence.
+_AZ_BYTES = bytes(
+    c if 0x61 <= c <= 0x7A else c | 0x20 if 0x41 <= c <= 0x5A else 0x20
+    for c in range(256)
+)
 
-    ``texts``: list[str|None] or a pyarrow string array.  Returns an
-    arrow table ``(doc int64, word string, c int64)`` where ``doc``
-    indexes into the input batch."""
+
+def split_az(texts, *, stop_words: bool = True,
+             max_len: int | None = MAX_WORD_LENGTH, sql_lower: bool = False):
+    """:func:`tokenize_az` over a batch of texts (list[str|None] or a
+    maybe sliced, chunked or large arrow string array; null reads as
+    ""), the stop-word drop and the length cap optional.  Returns
+    ``(doc, ids, vocab)`` in document order: per token its int64 batch
+    index and index into ``vocab``, the distinct kept words.
+
+    ASCII buffers skip ``utf8_lower``; the length and stop-word filters
+    run once per distinct word.  ``sql_lower`` lowercases U+0130 to
+    ``i`` as Arrow and DuckDB do (the SQL-checked queries), not to
+    ``i̇`` as Python does (the Indexer and TfIdf oracles); no other code
+    point lowercases to different ``[a-z]`` tokens."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
     if not isinstance(texts, (pa.Array, pa.ChunkedArray)):
         texts = pa.array(list(texts), pa.string())
-    if isinstance(texts, pa.ChunkedArray):
-        texts = texts.combine_chunks()
-    txt = pc.coalesce(texts, pa.scalar("", pa.string()))
-    lists = pc.split_pattern_regex(pc.utf8_lower(txt), pattern="[^a-z]+")
-    flat = pc.list_flatten(lists)
-    parents = pc.list_parent_indices(lists)
-    ln = pc.utf8_length(flat)
-    keep = pc.and_(
-        pc.and_(pc.greater(ln, 0), pc.less_equal(ln, MAX_WORD_LENGTH)),
-        pc.invert(pc.is_in(flat, value_set=_stop_arr())),
-    )
-    flat = pc.filter(flat, keep)
-    parents = pc.filter(parents, keep)
-    return (
-        pa.table(
-            {
-                "doc": pc.cast(parents, pa.int64()),
-                "word": flat,
-                "c": pa.array(np.ones(len(flat), np.int64)),
-            }
-        )
-        .group_by(["doc", "word"])
-        .aggregate([("c", "sum")])
-        .rename_columns(["doc", "word", "c"])
+    txt = pc.coalesce(texts.cast(pa.string()), "")
+    if isinstance(txt, pa.ChunkedArray):
+        txt = txt.combine_chunks()
+    offsets, raw = _offsets_bytes(txt)
+    if raw.size and raw.max() >= 0x80:
+        if not sql_lower:
+            txt = pc.replace_substring(txt, "\u0130", "i\u0307")
+        offsets, raw = _offsets_bytes(pc.utf8_lower(txt))
+    lists = pc.ascii_split_whitespace(pa.StringArray.from_buffers(
+        len(txt), pa.py_buffer(offsets - offsets[0]),
+        pa.py_buffer(np.frombuffer(_AZ_BYTES, np.uint8)[raw]),
+    ))
+    enc = pc.dictionary_encode(pc.list_flatten(lists))
+    words = enc.dictionary
+    ln = pc.binary_length(words)
+    ok = pc.greater(ln, 0)
+    if max_len is not None:
+        ok = pc.and_(ok, pc.less_equal(ln, max_len))
+    if stop_words:
+        ok = pc.and_(ok, pc.invert(pc.is_in(words, value_set=_stop_arr())))
+    ok = ok.to_numpy(zero_copy_only=False)
+    ids = enc.indices.to_numpy().astype(np.int64)
+    keep = ok[ids]
+    doc = pc.list_parent_indices(lists).to_numpy().astype(np.int64)[keep]
+    return doc, (np.cumsum(ok) - 1)[ids[keep]], words.filter(pa.array(ok))
+
+
+def _offsets_bytes(arr):
+    """A string array's ``len + 1`` offsets and the bytes they span."""
+    import numpy as np
+
+    _, obuf, dbuf = arr.buffers()
+    o = np.frombuffer(obuf, np.int32)[arr.offset:arr.offset + len(arr) + 1]
+    return o, np.frombuffer(dbuf or b"", np.uint8)[o[0]:o[-1]]
+
+
+def doc_token_counts(texts, sql_lower: bool = False):
+    """Per-document term counts over a batch of texts (as for
+    :func:`split_az`) — ``word_counts`` per text, counted with one
+    ``np.unique`` over ``doc·|vocab| + word``.  Returns an arrow table
+    ``(doc int64, word string, c int64)`` ordered by ``doc``, which
+    indexes into the batch."""
+    import numpy as np
+    import pyarrow as pa
+
+    doc, ids, vocab = split_az(texts, sql_lower=sql_lower)
+    nv = max(len(vocab), 1)
+    key, c = np.unique(doc * nv + ids, return_counts=True)
+    return pa.table(
+        {"doc": key // nv, "word": vocab.take(pa.array(key % nv)), "c": c}
     )

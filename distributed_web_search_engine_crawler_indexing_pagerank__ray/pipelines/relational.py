@@ -642,7 +642,7 @@ def q_revenue_by_segment(sf_dir: str):
                 "key": pa.array(k[ridx], pa.int64()),
                 "side": pa.array(["o"] * len(ridx), pa.string()),
                 "segment": pc.take(seg, pa.array(ridx)),
-                "cents": pa.nulls(len(ridx), pa.int64()),
+                "cents": pa.array(np.zeros(len(ridx), np.int64)),
             }
         )
 
@@ -757,7 +757,7 @@ def q_join_left(sf_dir: str):
                 ),
                 "key": keys,
                 "side": pa.array(["c"] * t.num_rows, pa.string()),
-                "cents": pa.nulls(t.num_rows, pa.int64()),
+                "cents": pa.array(np.zeros(t.num_rows, np.int64)),
             }
         )
 
@@ -2757,7 +2757,7 @@ def q_local_supplier_volume(sf_dir: str):
                 "key": pa.array(k[ridx], pa.int64()),
                 "side": pa.array(["o"] * len(ridx), pa.string()),
                 "nat": pc.take(cnat, pa.array(ridx)),
-                "cents": pa.nulls(len(ridx), pa.int64()),
+                "cents": pa.array(np.zeros(len(ridx), np.int64)),
             }
         )
 
@@ -3434,7 +3434,7 @@ def q_shipping_priority(sf_dir: str):
                 "side": pa.array(["o"] * len(ridx), pa.string()),
                 "odate": pc.take(t["o_orderdate"], ridx_a),
                 "prio": pc.take(t["o_orderpriority"], ridx_a),
-                "rev_e4": pa.nulls(len(ridx), pa.int64()),
+                "rev_e4": pa.array(np.zeros(len(ridx), np.int64)),
             }
         )
 

@@ -17,11 +17,11 @@ job runs PER PARTITION and lands its partial output atomically at
 restart anti-joins the partition list against the done set (directory
 presence == done marker — rename is atomic, a crashed partition leaves
 only a temp dir) and processes the missing partitions only.  The
-reduce phase (index groupby / tfidf global sort) re-runs from the
-checkpointed partials — it is a single shuffle over already-extracted
-rows, orders of magnitude cheaper than re-parsing the HTML.  PageRank
-additionally checkpoints (iteration, ranks, residual) after every
-round and restarts mid-iteration-sequence.
+reduce phase (the index's combiner, the tf-idf global sort) re-runs
+on the driver from the checkpointed partials — orders of magnitude
+cheaper than re-parsing the HTML.  PageRank additionally checkpoints
+(iteration, ranks, residual) after every round and restarts
+mid-iteration-sequence.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .index import INDEX_SCHEMA, _word_pairs, reduce_index
+from .index import INDEX_SCHEMA, PAIRS_SCHEMA, index_map, reduce_index
 from .pagerank import (
     CONVERGENCE,
     DAMPING,
@@ -154,20 +154,19 @@ def build_index_resumable(pages_dir: str, ckpt_dir: str,
         )
         batches = list(
             ds.map_batches(keep, batch_format="pyarrow")
-            .map_batches(_word_pairs, batch_format="pyarrow")
+            .map_batches(index_map, fn_kwargs={"n": n}, batch_format="pyarrow")
             .iter_batches(batch_format="pyarrow", batch_size=None)
         )
-        pairs = pa.concat_tables(batches) if batches else pa.table(
-            {"word": pa.array([], pa.string()), "url": pa.array([], pa.string()),
-             "wave": pa.array([], pa.int32()), "url_hash": pa.array([], pa.string())}
+        _write_atomic(
+            pa.concat_tables([PAIRS_SCHEMA.empty_table(), *batches]),
+            os.path.join(pairs_dir, p),
         )
-        _write_atomic(pairs, os.path.join(pairs_dir, p))
     if set(_done(pairs_dir)) < set(parts):
         return None  # map phase incomplete (simulated crash)
     all_pairs = _read_stage(pairs_dir, parts)
-    if all_pairs is None or all_pairs.num_rows == 0:
+    if all_pairs is None:
         return INDEX_SCHEMA.empty_table()
-    return reduce_index(ray.data.from_arrow(all_pairs), n)
+    return reduce_index(all_pairs, n)
 
 
 # -- T6: resumable TfIdf -----------------------------------------------------

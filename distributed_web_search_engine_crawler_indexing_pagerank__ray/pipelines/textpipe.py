@@ -26,7 +26,12 @@ from ..functions.textstats import (
     lang_id,
     quality_stats,
 )
-from ..functions.tokenize import MAX_WORD_LENGTH, STOP_WORDS, word_counts
+from ..functions.tokenize import (
+    MAX_WORD_LENGTH,
+    STOP_WORDS,
+    doc_token_counts,
+    split_az,
+)
 
 _STOPLIST_SQL = ", ".join(
     "'" + w.replace("'", "''") + "'" for w in sorted(STOP_WORDS)
@@ -47,50 +52,24 @@ def _docs(sf_dir: str, columns=("doc_id", "text")):
     return read_parquet_clean(f"{sf_dir}/documents.parquet", columns=list(columns))
 
 
-_STOP_ARR = pa.array(sorted(STOP_WORDS), pa.string())
-
-
 def _flat_words(t: pa.Table):
-    """Vectorized ``tokenize_az`` over a block: arrow ``utf8_lower`` +
-    ``split_pattern_regex`` + flatten, then one vectorized filter
-    (non-empty, len ≤ 25, not a stopword) — identical token semantics
-    to the per-doc Python ``word_counts`` loop it replaced (the r3
-    verdict's remaining hot-kernel item), proven by the unchanged SQL
-    oracles.  Returns ``(parent_row_indices, words)``."""
-    import pyarrow.compute as pc
-
-    txt = pc.coalesce(t["text"].combine_chunks(), pa.scalar("", pa.string()))
-    lists = pc.split_pattern_regex(pc.utf8_lower(txt), pattern="[^a-z]+")
-    flat = pc.list_flatten(lists)
-    parents = pc.list_parent_indices(lists)
-    ln = pc.utf8_length(flat)
-    keep = pc.and_(
-        pc.and_(pc.greater(ln, 0), pc.less_equal(ln, MAX_WORD_LENGTH)),
-        pc.invert(pc.is_in(flat, value_set=_STOP_ARR)),
-    )
-    return pc.filter(parents, keep), pc.filter(flat, keep)
+    """The reference tokenizer over a block's ``text`` column
+    (``functions.tokenize.split_az`` with DuckDB's ``lower()``, which
+    the SQL oracles use).  Returns ``(parent_row_indices, words)`` as
+    arrow arrays in document order."""
+    doc, ids, vocab = split_az(t["text"], sql_lower=True)
+    return pa.array(doc), vocab.take(pa.array(ids))
 
 
 def _doc_word_counts(t: pa.Table) -> pa.Table:
-    """Per-block ``(doc_id, word, c)`` term counts via `_flat_words` +
-    one arrow ``group_by`` — no per-doc Python loop."""
-    import numpy as np
-    import pyarrow.compute as pc
-
-    parents, words = _flat_words(t)
-    docs = pc.take(t["doc_id"].combine_chunks(), parents)
-    return (
-        pa.table(
-            {
-                "doc_id": pc.cast(docs, pa.int64()),
-                "word": words,
-                "c": pa.array(np.ones(len(words), np.int64)),
-            }
-        )
-        .group_by(["doc_id", "word"])
-        .aggregate([("c", "sum")])
-        .rename_columns(["doc_id", "word", "c"])
-    )
+    """Per-block ``(doc_id, word, c)`` term counts (``doc_token_counts``
+    with DuckDB's ``lower()``) — no per-doc Python loop."""
+    wc = doc_token_counts(t["text"], sql_lower=True)
+    return pa.table({
+        "doc_id": t["doc_id"].take(wc["doc"]).cast(pa.int64()),
+        "word": wc["word"],
+        "c": wc["c"],
+    })
 
 
 # -- #4 flatMap + #19 foldByKey: word count ----------------------------------
@@ -589,14 +568,20 @@ def q_top_tokens(sf_dir: str):
     import numpy as np
     import pyarrow.compute as pc
 
+    def block_counts(t: pa.Table, keep=None) -> pa.Table:
+        """(word, c) per distinct token of the block, in first-occurrence
+        order (a single-threaded ``group_by`` keeps it)."""
+        _, words = _flat_words(t)
+        if keep is not None:
+            words = words.filter(pc.is_in(words, value_set=keep))
+        g = pa.table({"word": words}).group_by("word", use_threads=False)
+        g = g.aggregate([("word", "count")])
+        return pa.table({"word": g["word"], "c": g["word_count"]})
+
     def sketch(t: pa.Table) -> pa.Table:
-        counts: dict[str, int] = {}
-        total = 0
-        for text in t["text"].to_pylist():
-            for w, c in word_counts(text or "").items():
-                counts[w] = counts.get(w, 0) + c
-                total += c
-        mg = _misra_gries(counts, HH_K)
+        c = block_counts(t)
+        total = pc.sum(c["c"]).as_py() or 0
+        mg = _misra_gries(dict(zip(c["word"].to_pylist(), c["c"].to_pylist())), HH_K)
         return pa.table(
             {
                 "word": pa.array(list(mg.keys()), pa.string()),
@@ -617,18 +602,7 @@ def q_top_tokens(sf_dir: str):
     cand_ref = ray.put(cand)
 
     def exact_counts(t: pa.Table) -> pa.Table:
-        cset = set(ray.get(cand_ref).to_pylist())
-        counts: dict[str, int] = {}
-        for text in t["text"].to_pylist():
-            for w, c in word_counts(text or "").items():
-                if w in cset:
-                    counts[w] = counts.get(w, 0) + c
-        return pa.table(
-            {
-                "word": pa.array(list(counts.keys()), pa.string()),
-                "c": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
+        return block_counts(t, ray.get(cand_ref))
 
     exact = (
         ds.map_batches(exact_counts, batch_format="pyarrow")
@@ -742,9 +716,9 @@ def q_bigram_counts(sf_dir: str):
     n-gram frequency sweep (wordcount's unigram sibling) that feeds
     collocation mining and tokenizer-vocab construction.
 
-    Shape: fully vectorized — each block lowercases + regex-splits via
-    arrow kernels, flattens the token lists zero-copy, drops empty
-    tokens, pairs each token with its successor WITHIN the same
+    Shape: fully vectorized — each block splits its texts into
+    non-empty tokens with ``split_az``, pairs each token with its
+    successor WITHIN the same
     document (a doc-index vector masks run boundaries — no per-doc
     Python loop), joins pairs with one arrow kernel, and pre-counts
     per block; only ≤ |vocab|² partial rows reach the final
@@ -754,24 +728,10 @@ def q_bigram_counts(sf_dir: str):
     import pyarrow.compute as pc
 
     def partial(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_lower(t["text"]), pattern="[^a-z]+"
+        doc, ids, vocab = split_az(
+            t["text"], stop_words=False, max_len=None, sql_lower=True
         )
-        la = toks.combine_chunks()
-        offsets = la.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        v = la.flatten()  # skips null lists; offsets align with values
-        nv = len(v)
-        if nv == 0:
-            return pa.table(
-                {"bigram": pa.array([], pa.string()),
-                 "c": pa.array([], pa.int64())}
-            )
-        doc = np.repeat(
-            np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
-        )
-        keep = pc.not_equal(v, "").to_numpy(zero_copy_only=False)
-        v = v.filter(pa.array(keep))
-        doc = doc[keep]
+        v = vocab.take(pa.array(ids))
         if len(v) < 2:
             return pa.table(
                 {"bigram": pa.array([], pa.string()),

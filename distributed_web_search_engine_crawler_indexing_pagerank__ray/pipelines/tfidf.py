@@ -6,10 +6,13 @@ reference's HashMap order is nondeterministic, SURVEY §7.3), scored
 inverted-index posting count (``pt-index.__count``), keep ``tfidf > 0``
 (``src/jobs/TfIdf.java:212-226``).
 
-Ray shape: one ``map_batches`` pass per doc (tokenize via the richer
-TfIdf cleaner + top-k) with the df map broadcast via ``ray.put``
-(replacing the reference's per-worker cached point lookups into
-pt-index, ``TfIdf.java:272-291``).
+Ray shape: one ``map_batches`` pass over the pages.  Each batch runs
+the TfIdf body-text cleaner per page, then tokenizes, counts, picks the
+top-K, scores and builds the ``hash(word|url)`` keys for the whole
+batch at once.  The index's (word, count) columns are broadcast via
+``ray.put`` (replacing the reference's per-worker cached point lookups
+into pt-index, ``TfIdf.java:272-291``).  The driver sorts the scored
+rows by key.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.hasher import ref_hash
-from ..functions.html import extract_body_text_tfidf
+from ..functions.hasher import ref_hash_array
+from ..functions.html import raw_body_text_tfidf
 from ..functions.tokenize import doc_token_counts
 from ..oracle.downstream_oracle import MAX_HTML_BYTES, TFIDF_MAX_TERMS
+from .index import run_positions
 
 TFIDF_SCHEMA = pa.schema(
     [
@@ -49,67 +53,54 @@ def _math_log(x):
 
 
 def make_scorer(index_tbl: pa.Table, n: int):
-    """Per-batch scoring fn (T1–T4) with the df map broadcast once via
-    ``ray.put``; shared by :func:`run_tfidf` and the resumable job (T6)."""
-    df_map = dict(
-        zip(index_tbl["word"].to_pylist(), index_tbl["count"].to_pylist())
-    )
-    df_ref = ray.put(df_map)
+    """Per-batch scoring fn (T1–T4) with the index's (word, count)
+    columns broadcast once via ``ray.put``; shared by :func:`run_tfidf`
+    and the resumable job (T6)."""
+    df_ref = ray.put(index_tbl.select(["word", "count"]))
 
     def score(batch: pa.Table) -> pa.Table:
-        """HTML extraction stays a per-page compiled-regex pass; the
-        tokenize/count/top-K/score pipeline runs vectorized over the
-        batch (doc_token_counts + one C-level sort + numpy tf·idf over
-        ``math.log`` values, so every score equals the oracle's);
-        only the ≤``TFIDF_MAX_TERMS``-per-doc ``ref_hash`` keys remain
-        a (short) Python loop."""
+        """Body text per page; then over the whole batch: counts, top-K
+        by one ``np.lexsort`` on (doc, −count, word rank), tf·idf from
+        ``math.log`` values (every score equals the oracle's) and the
+        ``ref_hash`` keys of ``word|url``."""
         import numpy as np
-        import pandas as pd
+        import pyarrow.compute as pc
 
+        texts = [
+            raw_body_text_tfidf(
+                (page or b"")[:MAX_HTML_BYTES].decode("utf-8", errors="replace")
+            )
+            for page in batch["page"].to_pylist()
+        ]
+        cnt = doc_token_counts(texts)
+        if cnt.num_rows == 0:
+            return TFIDF_SCHEMA.empty_table()
+        doc = cnt["doc"].to_numpy()
+        c = cnt["c"].to_numpy()
+        enc = pc.dictionary_encode(cnt["word"]).combine_chunks()
+        vocab, wid = enc.dictionary, enc.indices.to_numpy()
+        rank = pc.rank(vocab, "ascending").to_numpy()
+        order = np.lexsort((rank[wid], -c, doc))
+        top = order[run_positions(doc[order]) < TFIDF_MAX_TERMS]
         df = ray.get(df_ref)
-        texts, urls = [], []
-        for url, page in zip(batch["url"].to_pylist(), batch["page"].to_pylist()):
-            html = (page or b"")[:MAX_HTML_BYTES].decode("utf-8", errors="replace")
-            texts.append(extract_body_text_tfidf(html))
-            urls.append(url)
-        empty = pa.table(
-            {
-                "key": pa.array([], pa.string()),
-                "word": pa.array([], pa.string()),
-                "url": pa.array([], pa.string()),
-                "tf": pa.array([], pa.float64()),
-                "idf": pa.array([], pa.float64()),
-                "tfidf": pa.array([], pa.float64()),
-            }
-        )
-        if not texts:
-            return empty
-        cnt = doc_token_counts(texts).to_pandas()
-        if len(cnt) == 0:
-            return empty
-        cnt = cnt.sort_values(
-            ["doc", "c", "word"], ascending=[True, False, True],
-            kind="mergesort",
-        )
-        top = cnt.groupby("doc", sort=False).head(TFIDF_MAX_TERMS)
-        words = top["word"].to_numpy()
-        dfi = pd.Index(list(df)).get_indexer(words)
-        dfc = np.concatenate([np.asarray(list(df.values()), np.float64), [0.0]])[dfi]
-        tf = 1.0 + _math_log(top["c"].to_numpy(np.float64))
+        at = pc.fill_null(pc.index_in(vocab, value_set=df["word"]), len(df))
+        dfv = np.append(df["count"].to_numpy().astype(np.float64), 0.0)
+        dfc = dfv[at.to_numpy()][wid[top]]
+        tf = 1.0 + _math_log(c[top].astype(np.float64))
         idf = _math_log((n + 1.0) / (dfc + 1.0))
         s = tf * idf
         keep = s > 0
-        top = top[keep]
-        urow = [urls[d] for d in top["doc"]]
-        keys = [ref_hash(w + "|" + u) for w, u in zip(top["word"], urow)]
+        rows = pa.array(top[keep])
+        words = cnt["word"].take(rows)
+        urls = batch["url"].take(cnt["doc"].take(rows))
         return pa.table(
             {
-                "key": pa.array(keys, pa.string()),
-                "word": pa.array(top["word"].to_numpy(), pa.string()),
-                "url": pa.array(urow, pa.string()),
-                "tf": pa.array(tf[keep], pa.float64()),
-                "idf": pa.array(idf[keep], pa.float64()),
-                "tfidf": pa.array(s[keep], pa.float64()),
+                "key": ref_hash_array(pc.binary_join_element_wise(words, urls, "|")),
+                "word": words,
+                "url": urls,
+                "tf": tf[keep],
+                "idf": idf[keep],
+                "tfidf": s[keep],
             }
         )
 

@@ -52,7 +52,7 @@ from ..functions.partitioning import (
     bucketed,
     parquet_token_estimate,
 )
-from ..functions.tokenize import MAX_WORD_LENGTH
+from ..functions.tokenize import MAX_WORD_LENGTH, split_az
 
 GRAM_N = 5  # word-level n-gram order for the contamination check
 BENCH_MOD = 97  # doc_id % BENCH_MOD == 0 marks the "benchmark" set
@@ -82,45 +82,22 @@ def _docs(sf_dir: str):
     )
 
 
-def _raw_tokens(text: str) -> list[str]:
-    """Tokenizer used by this module: lowercase, split on non-letters,
-    keep non-empty tokens of len<=25.  NO stopword drop (unlike the
-    Indexer tokenizer) — mirrors ``_SQL_TOKLIST``.  Single-doc form;
-    the batch kernels use the vectorized :func:`_flat_tokens`."""
-    import re
-
-    out = []
-    for tok in re.split(r"[^a-z]+", text.lower()):
-        if tok and len(tok) <= MAX_WORD_LENGTH:
-            out.append(tok)
-    return out
-
-
 def _flat_tokens(
     t: pa.Table, with_tokens: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorized batch tokenizer — pyarrow ``utf8_lower`` +
-    ``split_pattern_regex`` + ``list_flatten`` instead of a per-doc
-    Python ``re.split`` loop (the r3 verdict's hot-kernel item).
+    """This module's tokenizer over a block's ``text`` column
+    (``functions.tokenize.split_az`` without the stop-word drop, with
+    DuckDB's ``lower()`` as in ``_SQL_TOKLIST``).
 
     Returns ``(parent_row_index int64[n_tokens], tokens
-    object[n_tokens] | None)`` in document order; token semantics are
-    identical to :func:`_raw_tokens` (the unchanged SQL oracles stay
-    hash-exact — tests/test_sql_oracles.py).  ``with_tokens=False``
-    skips materializing the token strings when only counts are needed
-    (pack_sequences)."""
-    txt = pc.coalesce(t["text"].combine_chunks(), pa.scalar("", pa.string()))
-    lists = pc.split_pattern_regex(pc.utf8_lower(txt), pattern="[^a-z]+")
-    flat = pc.list_flatten(lists)
-    parents = pc.list_parent_indices(lists)
-    ln = pc.utf8_length(flat)
-    keep = pc.and_(pc.greater(ln, 0), pc.less_equal(ln, MAX_WORD_LENGTH))
-    parents = pc.filter(parents, keep)
-    pn = parents.to_numpy(zero_copy_only=False).astype(np.int64)
+    object[n_tokens] | None)`` in document order; the unchanged SQL
+    oracles stay hash-exact (tests/test_sql_oracles.py).
+    ``with_tokens=False`` skips materializing the token strings when
+    only counts are needed (pack_sequences)."""
+    doc, ids, vocab = split_az(t["text"], stop_words=False, sql_lower=True)
     if not with_tokens:
-        return pn, None
-    toks = np.asarray(pc.filter(flat, keep).to_pylist(), dtype=object)
-    return pn, toks
+        return doc, None
+    return doc, np.asarray(vocab.to_pylist(), dtype=object)[ids]
 
 
 # -- benchmark contamination check -------------------------------------------

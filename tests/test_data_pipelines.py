@@ -26,6 +26,14 @@ def con():
     return c
 
 
+def _raw_tokens(text: str) -> list[str]:
+    """traindata's scalar tokenizer: lowercase, split on non-letters,
+    keep non-empty tokens of len<=25, no stopword drop."""
+    import re
+
+    return [t for t in re.split(r"[^a-z]+", text.lower()) if t and len(t) <= 25]
+
+
 def _to_df(res):
     import pyarrow as pa
 
@@ -741,7 +749,7 @@ def test_pack_sequences_long_docs_cross_pack_boundaries(tmp_path):
     )
     order = np.argsort(ids, kind="stable")
     n = np.array(
-        [len(traindata._raw_tokens(texts[i])) for i in order], dtype=np.int64
+        [len(_raw_tokens(texts[i])) for i in order], dtype=np.int64
     )
     start = np.concatenate([[0], np.cumsum(n)[:-1]])
     assert (out["doc_id"].to_numpy() == ids[order]).all()
@@ -915,7 +923,6 @@ def test_model_score_batch_split_invariant_and_empty_docs():
         MODEL_SCORE_MICRO,
         MODEL_WEIGHT_MOD,
         DocScorerModel,
-        _raw_tokens,
     )
 
     docs = ["key agg row", "", "scan slow fast scan", "a b zz"]

@@ -320,3 +320,48 @@ def test_returned_items_revenue_above_2_53_is_exact(tmp_path):
     assert dict(zip(out["c_custkey"], out["revenue_e4"])) == want
     ref = con.execute(relational.SQL_RETURNED_ITEMS).df()
     assert dict(zip(ref["c_custkey"], ref["revenue_e4"])) == want
+
+
+def test_shipping_priority_ranks_revenue_above_2_53_exactly(tmp_path):
+    """Q3 ranks by an exact int64 revenue lane: two orders whose totals
+    differ by 1 above 2^53 (equal once rounded to float64) must rank as
+    DuckDB ranks them, the larger total first."""
+    import duckdb
+
+    x = 90_071_992_547_410  # cents; 100·x > 2^53 and x even, so 100·x + 1
+    want = {1: 100 * x, 2: 100 * x + 1}  # rounds to 100·x in float64
+    assert want[1] > 2**53 and float(want[2]) == float(want[1])
+    before = pd.Timestamp(relational.Q3_DATE) - pd.Timedelta(days=1)
+    after = pd.Timestamp(relational.Q3_DATE) + pd.Timedelta(days=1)
+    tables = {
+        "customer": {
+            "c_custkey": pa.array([7], pa.int64()),
+            "c_mktsegment": pa.array([relational.Q3_SEGMENT]),
+        },
+        "orders": {
+            "o_orderkey": pa.array([1, 2], pa.int64()),
+            "o_custkey": pa.array([7, 7], pa.int64()),
+            "o_orderdate": pa.array([before, before], pa.timestamp("us")),
+            "o_orderpriority": pa.array(["1-URGENT", "2-HIGH"]),
+        },
+        # order 2: (x − 98)·100 + 99·99 = 100·x + 1
+        "lineitem": {
+            "l_orderkey": pa.array([1, 2, 2], pa.int64()),
+            "l_extendedprice": pa.array(
+                [x / 100, (x - 98) / 100, 0.99], pa.float64()
+            ),
+            "l_discount": pa.array([0.0, 0.0, 0.01], pa.float64()),
+            "l_shipdate": pa.array([after] * 3, pa.timestamp("us")),
+        },
+    }
+    con = duckdb.connect()
+    for name, cols in tables.items():
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.table(cols), path)
+        con.execute(
+            f"CREATE VIEW {name} AS SELECT * FROM read_parquet('{path}')"
+        )
+    ref = con.execute(relational.SQL_SHIPPING_PRIORITY).df()
+    assert list(ref["l_orderkey"]) == [2, 1]
+    out = _to_df(relational.q_shipping_priority(str(tmp_path)))
+    assert list(out["l_orderkey"]) == [2, 1]
