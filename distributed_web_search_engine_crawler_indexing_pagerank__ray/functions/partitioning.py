@@ -12,8 +12,7 @@ the input size bounds per-group memory by a constant instead:
 
 so each group holds ≤ ~target rows regardless of input size, and the
 group count (parallelism) grows linearly with the data.  B stays a
-power of two so the existing ``key & (B - 1)`` bucketing expressions
-keep working unchanged.
+power of two so the bucket rules below can mask with ``& (B - 1)``.
 
 Row estimates come from parquet FILE METADATA (``num_rows`` and
 per-column uncompressed byte sizes) — O(1), no scan, available before
@@ -29,9 +28,11 @@ inside a 2-4 GiB worker heap even with several groups resident.
 Hot keys: bucketing by key hash bounds the EXPECTED group size; a
 single pathological key can still overflow its bucket.  Where the
 per-bucket output is an additive partial (``q_join_shuffle``,
-``q_revenue_by_segment``, ``q_local_supplier_volume``), the large side
-is further salted into sub-buckets and the one-row-per-key side is
-replicated into each.  The salt level is AUTOMATIC: each salted join
+``q_revenue_by_segment``, ``q_local_supplier_volume``,
+``q_shipping_priority`` and the join phase of ``q_returned_items``),
+:func:`cobucketed` owns the split: the large side is spread round-robin
+over ``salt`` sub-buckets and the one-row-per-key side is replicated
+into each.  The salt level is AUTOMATIC: each salted join
 derives it from a sampled heavy-hitter probe of its key column
 (:func:`auto_salt_count` — three row groups spread across the file,
 O(1) metadata + O(sample) read, cached per file), so a Zipf-hot key
@@ -64,6 +65,15 @@ block-schema dedup, and downstream aggregates run ~10× slower on
 pandas blocks.  :func:`bucket_sums` is the doc-keyed partial-sum form
 on top of it: per-bucket ``pa.Table.group_by(key).aggregate``, so
 int64 sums never pass through pandas or float64.
+
+:func:`cobucketed` is the two-sided form behind the relational joins
+(the "join over a UNION ALL" co-group): both sides bucket with the
+same rule, the helper tags each row's side and owns the salt split,
+and the kernel gets each side as its own frame with only that side's
+Arrow-typed columns — no side null-fills the other's lanes.  The rows
+cross the union packed as one Arrow IPC stream per (block, bucket),
+so both sides share one exchange schema without an execution to
+learn either side's columns.
 
 Knobs (read at query-build time so tests can force them):
 - ``GRAFT_ROWS_PER_BUCKET``: target rows per bucket (default 500_000).
@@ -234,6 +244,14 @@ def _bucket_ids(keys, nb: int) -> pa.Array:
     return pa.array((ids & (nb - 1)).astype(np.int32))
 
 
+def _arrow_out(out) -> pa.Table:
+    if isinstance(out, pa.Table):
+        return out
+    return pa.Table.from_pandas(
+        out, preserve_index=False
+    ).replace_schema_metadata(None)
+
+
 def bucketed(ds, key: str, nb: int, fn, *, batch_format: str = "pandas"):
     """Hash-partition ``ds`` on ``key`` into ``nb`` buckets and run
     ``fn`` once per bucket (``nb`` a power of two, from
@@ -247,12 +265,7 @@ def bucketed(ds, key: str, nb: int, fn, *, batch_format: str = "pandas"):
 
     @functools.wraps(fn)
     def per_bucket(g):
-        out = fn(g)
-        if isinstance(out, pa.Table):
-            return out
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
+        return _arrow_out(fn(g))
 
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow")
@@ -275,3 +288,92 @@ def bucket_sums(ds, key: str, nb: int, aggs: dict[str, tuple]):
         return out.select(names).rename_columns([key, *aggs])
 
     return bucketed(ds, key, nb, fold, batch_format="pyarrow")
+
+
+_SIDE, _ROWS = "_side", "_rows"  # cobucketed's side tag and packed rows
+
+
+def _pack(t: pa.Table, key: str, nb: int, salt: int, side: int) -> pa.Table:
+    """One exchange row per group the block has rows in: (group, side,
+    those rows as one Arrow IPC stream).  The left side (``side`` 0)
+    is replicated into every salt of its bucket; the right side is
+    spread round-robin over them."""
+    group = _bucket_ids(t[key], nb).to_numpy().astype(np.int64) * salt
+    if side:
+        group += np.arange(len(group)) % salt
+    order = np.argsort(group, kind="stable")
+    ids, starts = np.unique(group[order], return_index=True)
+    t = t.take(order)
+    blobs = []
+    for lo, hi in zip(starts, [*starts[1:], len(order)]):
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, t.schema) as w:
+            w.write_table(t.slice(lo, hi - lo))
+        blobs.append(sink.getvalue().to_pybytes())
+    if not side:
+        ids = (ids[:, None] + np.arange(salt)).ravel()
+        blobs = [b for b in blobs for _ in range(salt)]
+    return pa.table(
+        {
+            BUCKET: pa.array(ids, pa.int32()),
+            _SIDE: pa.array(np.full(len(ids), side, np.int8)),
+            _ROWS: pa.array(blobs, pa.binary()),
+        }
+    )
+
+
+def _unpack(blobs: list[bytes]) -> pa.Table:
+    tables = [pa.ipc.open_stream(b).read_all() for b in blobs]
+    return pa.concat_tables(tables) if tables else pa.table({})
+
+
+def cobucketed(left, right, key: str, nb: int, fn, *, salt: int = 1,
+               batch_format: str = "pandas"):
+    """Join-shaped form of :func:`bucketed`: co-bucket two sides on an
+    integer ``key`` column with the same bucket rule and run
+    ``fn(left_rows, right_rows)`` once per bucket holding rows of either.
+
+    ``left`` and ``right`` are ``(dataset, side_fn)`` pairs: ``side_fn``
+    maps one ``pa.Table`` block to that side's rows (``key`` among their
+    columns) and runs in the packing task, so a block it empties still
+    leaves with the exchange schema.  Each side reaches ``fn`` as its own
+    ``batch_format`` frame with only its own columns, in their Arrow
+    types: no lane is null-filled for the other side, so an int64 stays
+    int64 in pandas.  A side with no rows in the bucket arrives as an
+    empty frame without columns.  The rows travel packed, one Arrow IPC
+    stream per (block, bucket), so both sides reach the union with one
+    schema however their columns differ.
+
+    ``salt`` (a power of two, from :func:`auto_salt_count`) splits every
+    bucket into ``salt`` groups for hot keys: the left side must hold at
+    most one row per key and is replicated into each group, the right
+    side is spread round-robin over them, so ``fn`` must emit additive
+    partials.  The result leaves as a metadata-free ``pa.Table`` per
+    group."""
+
+    def packed(i):
+        ds, side_fn = (left, right)[i]
+
+        @functools.wraps(side_fn)
+        def pack(t: pa.Table) -> pa.Table:
+            return _pack(side_fn(t), key, nb, salt, i)
+
+        return ds.map_batches(pack, batch_format="pyarrow")
+
+    @functools.wraps(fn)
+    def per_group(g: pa.Table):
+        tag = g[_SIDE].to_numpy()
+        blobs = g[_ROWS].to_pylist()
+        frames = [
+            _unpack([b for b, s in zip(blobs, tag) if s == i]) for i in (0, 1)
+        ]
+        if batch_format == "pandas":
+            frames = [f.to_pandas() for f in frames]
+        return _arrow_out(fn(*frames))
+
+    return (
+        packed(0)
+        .union(packed(1))
+        .groupby(BUCKET)
+        .map_groups(per_group, batch_format="pyarrow")
+    )

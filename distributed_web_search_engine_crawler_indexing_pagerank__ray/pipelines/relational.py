@@ -16,9 +16,11 @@ import ray.data
 
 from ..sources.tables import read_parquet_clean
 from ..functions.partitioning import (
+    BUCKET,
     auto_salt_count,
     bucket_count,
     bucketed,
+    cobucketed,
     next_pow2,
     parquet_rows,
 )
@@ -218,42 +220,25 @@ GROUP BY c.c_mktsegment
 
 
 # -- #22 join, large-large variant: partitioned (bucketed) hash join ---------
-#
-# Bucket counts are SIZE-DERIVED (functions/partitioning.py): B =
-# next_pow2(est_rows / target) bounds per-group memory by the ~500k-row
-# target and scales parallelism with the input — a fixed B=16 was the
-# r3 verdict's one remaining 100×-scale ceiling.  ``key & (B-1)`` keeps
-# working because B stays a power of two.
 
 
-def _salted_buckets(
-    keys: np.ndarray, b: int, s: int, *, replicate: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(row_indices, bucket_ids) spreading hot keys over ``s`` salted
-    sub-buckets.  ``replicate=True`` (the one-row-per-key side) emits
-    every row into all ``s`` sub-buckets of its key; ``replicate=False``
-    (the big side) spreads rows round-robin — ANY salt assignment is
-    correct because the replicated side covers every sub-bucket and the
-    per-bucket outputs are additive partials."""
-    n = len(keys)
-    base = keys & np.int64(b - 1)
-    if s <= 1:
-        return np.arange(n, dtype=np.int64), base
-    if replicate:
-        idx = np.repeat(np.arange(n, dtype=np.int64), s)
-        bucket = base[idx] * s + np.tile(np.arange(s, dtype=np.int64), n)
-    else:
-        idx = np.arange(n, dtype=np.int64)
-        bucket = base * s + (idx % s)
-    return idx, bucket
+def _inner_merge(a, b, **kwargs):
+    """pandas inner merge of two :func:`cobucketed` sides on ``key``;
+    empty when either side has no rows in the bucket (it then has no
+    columns to merge on)."""
+    import pandas as pd
+
+    if len(a) == 0 or len(b) == 0:
+        return pd.DataFrame()
+    return a.merge(b, on="key", **kwargs)
 
 
 def q_join_shuffle(sf_dir: str):
     """orders ⋈ lineitem on orderkey — both sides large, so no
-    broadcast: add ``bucket = key & (B-1)`` to both sides, co-group with
-    ONE ``groupby(bucket)`` over the union, and hash-join inside each
-    group (the explicit partitioned hash join of ray_guide 'Joins and
-    lookups').  Aggregates to revenue per order priority.
+    broadcast: co-bucket both sides on the order key with
+    :func:`cobucketed` and hash-join inside each bucket (the explicit
+    partitioned hash join of ray_guide 'Joins and lookups').  Aggregates
+    to revenue per order priority.
 
     Scale posture: B is derived from the two tables' parquet row counts
     (≤ ~target rows ⇒ ≤ ~50 MB pandas per group at ~100 B/row, B-way
@@ -272,51 +257,27 @@ def q_join_shuffle(sf_dir: str):
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        keys = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        idx, bucket = _salted_buckets(keys, B, S, replicate=True)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(keys[idx], pa.int64()),
-                "side": pa.array(["o"] * len(idx), pa.string()),
-                "priority": pc.take(t["o_orderpriority"], pa.array(idx)),
-                "revenue": pa.nulls(len(idx), pa.float64()),
-            }
-        )
+    def orders_side(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["o_orderkey"], "priority": t["o_orderpriority"]})
 
-    def tag_lineitem(t: pa.Table) -> pa.Table:
-        keys = t["l_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        idx, bucket = _salted_buckets(keys, B, S, replicate=False)
+    def lineitem_side(t: pa.Table) -> pa.Table:
         rev = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
         )
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(keys, pa.int64()),
-                "side": pa.array(["l"] * t.num_rows, pa.string()),
-                "priority": pa.nulls(t.num_rows, pa.string()),
-                "revenue": rev,
-            }
-        )
+        return pa.table({"key": t["l_orderkey"], "revenue": rev})
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == "o"][["key", "priority"]]
-        right = g[g["side"] == "l"][["key", "revenue"]]
-        m = right.merge(left, on="key", how="inner")
+    def join_bucket(o: pd.DataFrame, l: pd.DataFrame):
+        m = _inner_merge(l, o)
         if len(m) == 0:
-            return pd.DataFrame(
-                {"priority": pd.Series(dtype="str"),
-                 "revenue": pd.Series(dtype="float64")}
-            )
+            return pa.schema(
+                {"priority": pa.string(), "revenue": pa.float64()}
+            ).empty_table()
         return m.groupby("priority", as_index=False)["revenue"].sum()
 
-    partial = tagged.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    partial = cobucketed(
+        (orders, orders_side), (lineitem, lineitem_side), "key", B,
+        join_bucket, salt=S,
+    )
     out = partial.groupby("priority").aggregate(
         Sum("revenue", alias_name="sum_revenue")
     )
@@ -454,13 +415,13 @@ def q_anti_join(sf_dir: str):
     """customer ANTI JOIN orders on custkey — customers with no URGENT
     order (unfiltered "no orders at all" is empty at every test sf).
 
-    Same bucketed co-group shape as :func:`q_join_shuffle` (both sides
+    Same co-bucketed shape as :func:`q_join_shuffle` (both sides
     scale, so no broadcast); the probe side is filtered then reduced to
     its per-block DISTINCT keys inside map_batches before the shuffle,
     so the exchange moves at most |distinct custkeys|·blocks probe
     rows.
 
-    Scale posture: B size-derived (see the section comment).  No
+    Scale posture: B size-derived (see :func:`bucket_count`).  No
     salting — per-key cardinality is bounded by construction (1 build
     row per custkey, ≤ blocks distinct-key probe rows), so group size
     is already B-bounded; splitting a key across salts would drop
@@ -471,49 +432,28 @@ def q_anti_join(sf_dir: str):
     customers = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
 
-    def tag_cust(t: pa.Table) -> pa.Table:
-        keys = t["c_custkey"]
-        return pa.table(
-            {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": keys,
-                "side": pa.array(["c"] * t.num_rows, pa.string()),
-                "name": t["c_name"],
-            }
-        )
-
-    def tag_orders(t: pa.Table) -> pa.Table:
+    def urgent_side(t: pa.Table) -> pa.Table:
         keys = pc.filter(
             t["o_custkey"], pc.equal(t["o_orderpriority"], ANTI_PRIORITY)
         )
-        keys = pc.unique(keys)  # per-block combiner
-        n = len(keys)
-        return pa.table(
-            {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": keys,
-                "side": pa.array(["o"] * n, pa.string()),
-                "name": pa.nulls(n, pa.string()),
-            }
+        return pa.table({"c_custkey": pc.unique(keys)})  # per-block combiner
+
+    def anti(cust: pa.Table, urgent: pa.Table) -> pa.Table:
+        if cust.num_rows == 0:
+            return pa.schema(
+                {"c_custkey": pa.int64(), "c_name": pa.string()}
+            ).empty_table()
+        if urgent.num_rows == 0:
+            return cust
+        probe = pc.unique(urgent["c_custkey"].combine_chunks())
+        return cust.filter(
+            pc.invert(pc.is_in(cust["c_custkey"], value_set=probe))
         )
 
-    tagged = customers.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
+    return cobucketed(
+        (customers, lambda t: t), (orders, urgent_side), "c_custkey", B,
+        anti, batch_format="pyarrow",
     )
-
-    def anti(g: pa.Table) -> pa.Table:
-        is_probe = pc.equal(g["side"], "o")
-        probe_keys = pc.unique(pc.filter(g["key"], is_probe))
-        cust = g.filter(pc.invert(is_probe))
-        keep = pc.invert(pc.is_in(cust["key"], value_set=probe_keys))
-        out = cust.filter(keep)
-        return pa.table({"c_custkey": out["key"], "c_name": out["name"]})
-
-    return tagged.groupby("bucket").map_groups(anti, batch_format="pyarrow")
 
 
 SQL_ANTI_JOIN = f"""
@@ -590,8 +530,8 @@ def q_revenue_by_segment(sf_dir: str):
     2. the fact table (lineitem) pre-aggregates to one row per orderkey
        per block (revenue in INTEGER cents — ``floor(x*100 + 0.5)`` on
        both sides keeps the sum order-independent and hash-exact);
-    3. orders(+segment) and the reduced fact co-locate via the shared
-       ``key & (B-1)`` bucketing and hash-join per bucket;
+    3. orders(+segment) and the reduced fact co-locate through
+       :func:`cobucketed` on the order key and hash-join per bucket;
     4. a tiny ``groupby(segment)`` finishes.
 
     The status filter is pushed into the parquet read (only 'F' order
@@ -620,7 +560,7 @@ def q_revenue_by_segment(sf_dir: str):
     )
 
     # the filter column must stay in the projection for the explicit
-    # (metadata-free, hashable) schema to be valid; tag_orders drops it
+    # (metadata-free, hashable) schema to be valid; orders_side drops it
     orders = read_parquet_clean(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderkey", "o_custkey", "o_orderstatus"],
@@ -630,23 +570,12 @@ def q_revenue_by_segment(sf_dir: str):
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
 
-    def tag_orders(t: pa.Table) -> pa.Table:
+    def orders_side(t: pa.Table) -> pa.Table:
         keys, segs = ray.get(cust_ref)
         idx = pc.index_in(t["o_custkey"], value_set=keys)
-        seg = pc.take(segs, idx)
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ridx, bucket = _salted_buckets(k, B, S, replicate=True)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k[ridx], pa.int64()),
-                "side": pa.array(["o"] * len(ridx), pa.string()),
-                "segment": pc.take(seg, pa.array(ridx)),
-                "cents": pa.array(np.zeros(len(ridx), np.int64)),
-            }
-        )
+        return pa.table({"key": t["o_orderkey"], "segment": pc.take(segs, idx)})
 
-    def tag_lineitem(t: pa.Table) -> pa.Table:
+    def lineitem_side(t: pa.Table) -> pa.Table:
         rev = pc.multiply(
             t["l_extendedprice"], pc.subtract(pa.scalar(1.0), t["l_discount"])
         )
@@ -655,40 +584,26 @@ def q_revenue_by_segment(sf_dir: str):
             pa.int64(),
         )
         # per-block partial: one row per orderkey seen in the block
-        part = (
+        return (
             pa.table({"key": t["l_orderkey"], "cents": cents})
             .group_by("key")
             .aggregate([("cents", "sum")])
-        )
-        k = part["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, bucket = _salted_buckets(k, B, S, replicate=False)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k, pa.int64()),
-                "side": pa.array(["l"] * part.num_rows, pa.string()),
-                "segment": pa.nulls(part.num_rows, pa.string()),
-                "cents": part["cents_sum"],
-            }
+            .rename_columns(["key", "cents"])
         )
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: "pd.DataFrame") -> "pd.DataFrame":
-        left = g[g["side"] == "o"][["key", "segment"]]
-        right = g[g["side"] == "l"][["key", "cents"]]
-        m = right.merge(left, on="key", how="inner")
+    def join_bucket(o: "pd.DataFrame", l: "pd.DataFrame"):
+        m = _inner_merge(l, o)
         if len(m) == 0:
-            return pd.DataFrame(
-                {"segment": pd.Series(dtype="str"),
-                 "cents": pd.Series(dtype="int64")}
-            )
+            return pa.schema(
+                {"segment": pa.string(), "cents": pa.int64()}
+            ).empty_table()
         out = m.groupby("segment", as_index=False)["cents"].sum()
         return out.astype({"cents": "int64"})
 
-    partial = tagged.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    partial = cobucketed(
+        (orders, orders_side), (lineitem, lineitem_side), "key", B,
+        join_bucket, salt=S,
+    )
     # final merge on the driver: the partial is ≤ B × |segments| additive
     # rows (domain-bounded, NOT data-sized), so a second sort-shuffle
     # for the ≤5-group aggregate would cost more in barrier/scheduling
@@ -727,12 +642,13 @@ def q_join_left(sf_dir: str):
     null-preserving join variant ``q_join_shuffle`` (inner) and
     ``q_anti_join`` (null-only) bracket.
 
-    Shape: both sides large → co-bucketed by ``custkey & (B-1)`` into
-    ONE ``groupby(bucket)`` over the tagged union (the partitioned
-    hash-join of ray_guide 'Joins and lookups'); each group left-merges
-    and aggregates to final per-customer rows (custkey is unique per
-    bucket, so no second shuffle).  Spend sums INTEGER cents —
-    order-independent, hence hash-exact vs the SQL oracle.
+    Shape: both sides large → co-bucketed on custkey by
+    :func:`cobucketed` (the partitioned hash-join of ray_guide 'Joins
+    and lookups'); each bucket left-joins in Arrow and aggregates to final
+    per-customer rows (custkey is unique per bucket, so no second
+    shuffle).  Spend sums INTEGER cents — order-independent, hence
+    hash-exact vs the SQL oracle; counts and sums stay int64 up to
+    the final division.
 
     Scale posture: B size-derived, so one group ≤ ~target rows
     (≤ ~50 MB pandas).  No row salting — the group fn aggregates ALL of
@@ -740,29 +656,13 @@ def q_join_left(sf_dir: str):
     custkey the two-phase variant applies instead (salted per-key
     partials + one doc-sized ``groupby(key)`` merge, the shape
     ``q_join_shuffle`` already demonstrates)."""
-    import pandas as pd
-
     B = bucket_count(
         parquet_rows(f"{sf_dir}/customer.parquet", f"{sf_dir}/orders.parquet")
     )
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def tag_cust(t: pa.Table) -> pa.Table:
-        keys = pc.cast(t["c_custkey"], pa.int64())
-        return pa.table(
-            {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": keys,
-                "side": pa.array(["c"] * t.num_rows, pa.string()),
-                "cents": pa.array(np.zeros(t.num_rows, np.int64)),
-            }
-        )
-
-    def tag_orders(t: pa.Table) -> pa.Table:
-        keys = pc.cast(t["o_custkey"], pa.int64())
+    def orders_side(t: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.floor(
                 pc.add(
@@ -772,44 +672,33 @@ def q_join_left(sf_dir: str):
             ),
             pa.int64(),
         )
+        return pa.table({"c_custkey": t["o_custkey"], "cents": cents})
+
+    def join_bucket(c: pa.Table, o: pa.Table) -> pa.Table:
+        if c.num_rows == 0:
+            return pa.schema(
+                {"c_custkey": pa.int64(), "n_orders": pa.int64(),
+                 "total_spent": pa.float64()}
+            ).empty_table()
+        if o.num_rows == 0:
+            o = pa.schema({"c_custkey": pa.int64(), "cents": pa.int64()}).empty_table()
+        agg = o.group_by("c_custkey").aggregate([([], "count_all"), ("cents", "sum")])
+        m = c.join(agg, "c_custkey")  # left outer
+        cents = pc.cast(pc.fill_null(m["cents_sum"], 0), pa.float64())
         return pa.table(
             {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": keys,
-                "side": pa.array(["o"] * t.num_rows, pa.string()),
-                "cents": cents,
-            }
-        )
-
-    tagged = cust.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        left = g.loc[g["side"] == "c", ["key"]]
-        right = g.loc[g["side"] == "o", ["key", "cents"]]
-        agg = right.groupby("key").agg(
-            n_orders=("cents", "size"), cents=("cents", "sum")
-        )
-        m = left.merge(agg, on="key", how="left")
-        n = m["n_orders"].fillna(0).to_numpy(dtype=np.int64)
-        cents = m["cents"].fillna(0).to_numpy(dtype=np.int64)
-        return pa.table(
-            {
-                "c_custkey": pa.array(m["key"].to_numpy(dtype=np.int64)),
-                "n_orders": pa.array(n),
+                "c_custkey": m["c_custkey"],
+                "n_orders": pc.fill_null(m["count_all"], 0),
                 "total_spent": pc.round(
-                    pc.divide(
-                        pc.cast(pa.array(cents), pa.float64()), pa.scalar(100.0)
-                    ),
-                    ndigits=2,
+                    pc.divide(cents, pa.scalar(100.0)), ndigits=2
                 ),
             }
         )
 
-    return tagged.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
+    return cobucketed(
+        (cust, lambda t: t), (orders, orders_side), "c_custkey", B,
+        join_bucket, batch_format="pyarrow",
+    )
 
 
 SQL_JOIN_LEFT = """
@@ -838,12 +727,12 @@ def q_join_full(sf_dir: str):
 
     Shape = ``q_join_left``: the balance filter is pushed into the
     parquet read, orders pre-aggregate per block to (key, n) partials,
-    both sides co-bucket by ``key & (B-1)`` into ONE
-    ``groupby(bucket)``, and each group outer-merges — a key lives
-    wholly in its bucket, so per-bucket outer semantics are exact and
-    no second shuffle is needed.  B is size-derived (bounded per-group
-    memory, input-proportional parallelism)."""
-    import pandas as pd
+    both sides co-bucket on custkey through :func:`cobucketed`, and
+    each bucket outer-joins in Arrow — a key lives wholly in its
+    bucket, so per-bucket outer semantics are exact and no second
+    shuffle is needed, and the int64 counts never pass through
+    float64.  B is size-derived (bounded per-group memory,
+    input-proportional parallelism)."""
     import pyarrow.dataset as pads
 
     B = bucket_count(
@@ -855,75 +744,45 @@ def q_join_full(sf_dir: str):
         filter=pads.field("c_acctbal") > FULL_JOIN_BAL,
     )
     orders = _read(sf_dir, "orders", ["o_custkey"])
+    cust_schema = pa.schema({"key": pa.int64(), "acctbal": pa.float64()})
+    count_schema = pa.schema({"key": pa.int64(), "n": pa.int64()})
 
-    def tag_cust(t: pa.Table) -> pa.Table:
-        keys = pc.cast(t["c_custkey"], pa.int64())
+    def cust_side(t: pa.Table) -> pa.Table:
         return pa.table(
-            {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": keys,
-                "side": pa.array(["c"] * t.num_rows, pa.string()),
-                "acctbal": pc.cast(t["c_acctbal"], pa.float64()),
-                "n": pa.nulls(t.num_rows, pa.int64()),
-            }
+            {"key": t["c_custkey"], "acctbal": pc.cast(t["c_acctbal"], pa.float64())}
         )
 
-    def tag_orders(t: pa.Table) -> pa.Table:
+    def orders_side(t: pa.Table) -> pa.Table:
         # per-block partial: one (key, n) row per custkey in the block
-        part = (
-            pa.table(
-                {
-                    "key": pc.cast(t["o_custkey"], pa.int64()),
-                    "n": pa.array(np.ones(t.num_rows, dtype=np.int64)),
-                }
-            )
+        return (
+            pa.table({"key": t["o_custkey"]})
             .group_by("key")
-            .aggregate([("n", "sum")])
+            .aggregate([([], "count_all")])
+            .rename_columns(count_schema.names)
         )
-        keys = part["key"]
+
+    def join_bucket(c: pa.Table, o: pa.Table) -> pa.Table:
+        c = c if c.num_rows else cust_schema.empty_table()
+        o = o if o.num_rows else count_schema.empty_table()
+        n = o.group_by("key").aggregate([("n", "sum")])
+        m = c.join(n, "key", join_type="full outer")
+        no_cust = pc.is_null(m["acctbal"])
+        side = pc.if_else(
+            no_cust, "right", pc.if_else(pc.is_null(m["n_sum"]), "left", "both")
+        )
         return pa.table(
             {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(keys, pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": keys,
-                "side": pa.array(["o"] * part.num_rows, pa.string()),
-                "acctbal": pa.nulls(part.num_rows, pa.float64()),
-                "n": part["n_sum"],
+                "c_custkey": m["key"],
+                "acctbal": pc.fill_null(m["acctbal"], -1.0),
+                "n_orders": pc.fill_null(m["n_sum"], 0),
+                "side": side,
             }
         )
 
-    tagged = hb.map_batches(tag_cust, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
+    return cobucketed(
+        (hb, cust_side), (orders, orders_side), "key", B, join_bucket,
+        batch_format="pyarrow",
     )
-
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        left = g.loc[g["side"] == "c", ["key", "acctbal"]]
-        right = (
-            g.loc[g["side"] == "o", ["key", "n"]]
-            .groupby("key", as_index=False)["n"]
-            .sum()
-        )
-        m = left.merge(right, on="key", how="outer", indicator=True)
-        side = m["_merge"].map(
-            {"both": "both", "left_only": "left", "right_only": "right"}
-        )
-        return pa.table(
-            {
-                "c_custkey": pa.array(m["key"].to_numpy(dtype=np.int64)),
-                "acctbal": pa.array(
-                    m["acctbal"].fillna(-1.0).to_numpy(dtype=np.float64)
-                ),
-                "n_orders": pa.array(
-                    m["n"].fillna(0).to_numpy(dtype=np.int64)
-                ),
-                "side": pa.array(side.astype(str).to_numpy(), pa.string()),
-            }
-        )
-
-    return tagged.groupby("bucket").map_groups(join_bucket, batch_format="pandas")
 
 
 SQL_JOIN_FULL = f"""
@@ -944,6 +803,37 @@ FROM hb FULL JOIN o ON o.key = hb.c_custkey
 
 # -- global rank via range-partitioned prefix scan ----------------------------
 
+
+def _range_ranked(tagged, fn, *, descending: bool = False):
+    """Rank rows across value-range buckets without a global sort.
+    ``tagged`` carries a ``BUCKET`` column that is a monotone function
+    of the sort key.  Phase 1 counts each bucket; the driver prefix-sums
+    those ≤ |buckets| counts in bucket order (``descending`` for a
+    DESC key) and broadcasts them; phase 2 calls ``fn(rows, seed, n)``
+    once per bucket, where ``seed`` is the number of rows in earlier
+    buckets and ``n`` the grand total.  No stage holds more than one
+    bucket; at 100 TB the bucket histogram would come from a sampled
+    quantile sketch instead of a fixed width."""
+    tagged = tagged.materialize()
+    bm = (
+        tagged.groupby(BUCKET)
+        .aggregate(Count(alias_name="n"))
+        .to_pandas()
+        .sort_values(BUCKET, ascending=not descending)
+    )
+    counts = bm["n"].to_numpy(np.int64)
+    prefix = np.concatenate([[np.int64(0)], np.cumsum(counts)[:-1]])
+    small = ray.put(
+        ({int(b): int(p) for b, p in zip(bm[BUCKET], prefix)}, int(counts.sum()))
+    )
+
+    def rank_bucket(g):
+        seeds, n = ray.get(small)
+        return fn(g, seeds[int(g[BUCKET].iloc[0])], n)
+
+    return tagged.groupby(BUCKET).map_groups(rank_bucket, batch_format="pandas")
+
+
 RANK_BUCKET_CHARS = 256  # n_chars per range-partition bucket
 
 
@@ -951,17 +841,9 @@ def q_global_rank(sf_dir: str):
     """Dense global rank of documents by (n_chars DESC, doc_id ASC) —
     total-order assignment WITHOUT a global sort shuffle: the sort key
     range-partitions rows (bucket = n_chars // 256, a value-range
-    partition over a bounded column), phase 1 reduces each bucket to a
-    row count, the driver prefix-sums those ≤ |buckets| scalars in
-    descending bucket order and broadcasts them, and phase 2 sorts
-    WITHIN each bucket (vectorized lexsort over its own rows only) and
-    offsets by the bucket's prefix.  The same shape ``traindata.
-    q_pack_sequences`` uses for token offsets; at 100 TB the bucket
-    histogram comes from a sampled quantile sketch instead of a fixed
-    width, and each bucket ranks independently — no stage ever holds
-    more than one bucket."""
-    import pandas as pd
-
+    partition over a bounded column) and :func:`_range_ranked` offsets
+    each bucket's local sort by the rows of the buckets before it.  The
+    same shape ``traindata.q_pack_sequences`` uses for token offsets."""
     docs = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
@@ -969,7 +851,7 @@ def q_global_rank(sf_dir: str):
     def tag(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "bucket": pc.cast(
+                BUCKET: pc.cast(
                     pc.divide(t["n_chars"], pa.scalar(RANK_BUCKET_CHARS)),
                     pa.int64(),
                 ),
@@ -978,27 +860,7 @@ def q_global_rank(sf_dir: str):
             }
         )
 
-    tagged = docs.map_batches(tag, batch_format="pyarrow").materialize()
-
-    from ray.data.aggregate import Count
-
-    bm = (
-        tagged.groupby("bucket")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-        .sort_values("bucket", ascending=False)  # rank is n_chars DESC
-    )
-    buckets = bm["bucket"].to_numpy().astype(np.int64)
-    prefix = np.concatenate(
-        [[np.int64(0)], np.cumsum(bm["n"].to_numpy().astype(np.int64))[:-1]]
-    )
-    # searchsorted needs ascending keys; store descending-order prefix
-    # indexed by position in the descending bucket list
-    order = {int(b): int(p) for b, p in zip(buckets, prefix)}
-    small = ray.put(order)
-
-    def rank_bucket(g: pd.DataFrame) -> pa.Table:
-        seed = ray.get(small)[int(g["bucket"].iloc[0])]
+    def rank_bucket(g, seed: int, n: int) -> pa.Table:
         g = g.sort_values(["n_chars", "doc_id"], ascending=[False, True])
         return pa.table(
             {
@@ -1010,7 +872,10 @@ def q_global_rank(sf_dir: str):
             }
         )
 
-    return tagged.groupby("bucket").map_groups(rank_bucket, batch_format="pandas")
+    return _range_ranked(
+        docs.map_batches(tag, batch_format="pyarrow"), rank_bucket,
+        descending=True,  # rank is n_chars DESC
+    )
 
 
 SQL_GLOBAL_RANK = """
@@ -1314,7 +1179,7 @@ def q_join_semi(sf_dir: str):
     probe side never shuffles.  Scale posture: the build side must fit
     in one object-store value (ids only — ~8 bytes/row, so ~10^8 keys
     per GB); past that, flip to the bucketed co-partition shape
-    `q_anti_join` uses (same tagged-union kernel, B size-derived)."""
+    `q_anti_join` uses (:func:`cobucketed`, B size-derived)."""
     import pyarrow.dataset as pads
 
     hb = read_parquet_clean(
@@ -1370,8 +1235,8 @@ def q_except_parts(sf_dir: str):
     the parquet read (`(ship >= late) OR (ship < early)`; the years
     between never leave storage); each block reduces to ≤ one
     (partkey, inA, inB) membership partial per key via an arrow
-    ``group_by`` max, keys co-bucket by ``key & (B-1)`` into a
-    size-derived ``groupby(bucket)``, and a vectorized kernel
+    ``group_by`` max, the partials hash-bucket on the key through a
+    size-derived :func:`bucketed` exchange, and a vectorized kernel
     (``np.maximum.reduceat``) merges memberships and keeps
     ``inA & ~inB`` — set semantics without ever shuffling row-level
     data."""
@@ -1394,26 +1259,17 @@ def q_except_parts(sf_dir: str):
         in_a = pc.greater_equal(
             t["l_shipdate"], pa.scalar(late, pa.timestamp("us"))
         )
-        part = (
+        return (
             pa.table(
                 {
-                    "key": pc.cast(t["l_partkey"], pa.int64()),
+                    "key": t["l_partkey"],
                     "in_a": pc.cast(in_a, pa.int8()),
                     "in_b": pc.cast(pc.invert(in_a), pa.int8()),
                 }
             )
             .group_by("key")
             .aggregate([("in_a", "max"), ("in_b", "max")])
-        )
-        return pa.table(
-            {
-                "bucket": pc.cast(
-                    pc.bit_wise_and(part["key"], pa.scalar(B - 1)), pa.int32()
-                ),
-                "key": part["key"],
-                "in_a": part["in_a_max"],
-                "in_b": part["in_b_max"],
-            }
+            .rename_columns(["key", "in_a", "in_b"])
         )
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1425,10 +1281,9 @@ def q_except_parts(sf_dir: str):
         keep = (in_a == 1) & (in_b == 0)
         return pd.DataFrame({"partkey": k[starts][keep]})
 
-    return (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
+    return bucketed(
+        li.map_batches(partial, batch_format="pyarrow"), "key", B,
+        merge_bucket,
     )
 
 
@@ -1669,13 +1524,13 @@ def q_above_avg_orders(sf_dir: str):
     correlated)``), the normalize-against-your-group step every
     per-entity quality gate runs.
 
-    Shape: the per-customer stat side is as large as the key space, so
-    NO broadcast — order rows and per-block (custkey, n, sum-cents)
-    stat partials co-bucket by ``custkey & (B-1)`` into ONE
-    size-derived ``groupby(bucket)``; each group first combines the
-    partials per key (additive integers), then filters its own rows
-    vectorized — the `lm_unigram_score` join-back shape on a relational
-    key.  Exactness: the mean is one IEEE division of exact integers,
+    Shape: the per-customer stat is as large as the key space, so NO
+    broadcast — order rows hash-bucket on custkey through ONE
+    size-derived :func:`bucketed` exchange, so every order of a
+    customer meets in one bucket; each bucket sums its customers'
+    integer cents and counts, then filters its own rows vectorized —
+    the `lm_unigram_score` join-back shape on a relational key.
+    Exactness: the mean is one IEEE division of exact integers,
     identical on the SQL side, so the `>` boundary is deterministic."""
     import pandas as pd
 
@@ -1683,69 +1538,28 @@ def q_above_avg_orders(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_totalprice"])
 
-    def tag(t: pa.Table) -> pa.Table:
-        k = pc.cast(t["o_custkey"], pa.int64())
-        cents = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)),
-                        pa.int64())
-        rows = pa.table(
-            {
-                "bucket": pc.cast(pc.bit_wise_and(k, pa.scalar(B - 1)),
-                                  pa.int32()),
-                "key": k,
-                "okey": pc.cast(t["o_orderkey"], pa.int64()),
-                "price": t["o_totalprice"],
-                "cents": cents,
-                "n": pa.array(np.zeros(t.num_rows, np.int64)),  # row marker
-                "sc": pa.array(np.zeros(t.num_rows, np.int64)),
-            }
-        )
-        stats = (
-            pa.table({"key": k, "n": pa.array(np.ones(t.num_rows, np.int64)),
-                      "sc": cents})
-            .group_by("key")
-            .aggregate([("n", "sum"), ("sc", "sum")])
-        )
-        sk = stats["key"]
-        parts = pa.table(
-            {
-                "bucket": pc.cast(pc.bit_wise_and(sk, pa.scalar(B - 1)),
-                                  pa.int32()),
-                "key": sk,
-                "okey": pa.array(np.full(stats.num_rows, -1, np.int64)),
-                "price": pa.nulls(stats.num_rows, pa.float64()),
-                "cents": pa.array(np.zeros(stats.num_rows, np.int64)),
-                "n": stats["n_sum"],
-                "sc": stats["sc_sum"],
-            }
-        )
-        return pa.concat_tables([rows, parts])
+    def cents(t: pa.Table) -> pa.Table:
+        c = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)), pa.int64())
+        return t.append_column("cents", c)
 
     def filter_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        stats = (
-            g.loc[g["okey"] < 0, ["key", "n", "sc"]]
-            .groupby("key", as_index=False)
-            .sum()
-        )
-        mean = dict(zip(stats["key"],
-                        stats["sc"].to_numpy(np.float64)
-                        / stats["n"].to_numpy(np.float64)))
-        rows = g[g["okey"] >= 0]
-        mv = rows["key"].map(mean).to_numpy(np.float64)
-        keep = rows["cents"].to_numpy(np.float64) > mv
-        rows = rows[keep]
+        per_cust = g.groupby("o_custkey")["cents"]
+        mv = (per_cust.transform("sum").to_numpy(np.float64)
+              / per_cust.transform("size").to_numpy(np.float64))
+        keep = g["cents"].to_numpy(np.float64) > mv
+        rows = g[keep]
         return pd.DataFrame(
             {
-                "o_orderkey": rows["okey"].to_numpy(np.int64),
-                "o_custkey": rows["key"].to_numpy(np.int64),
-                "o_totalprice": rows["price"].to_numpy(np.float64),
+                "o_orderkey": rows["o_orderkey"].to_numpy(np.int64),
+                "o_custkey": rows["o_custkey"].to_numpy(np.int64),
+                "o_totalprice": rows["o_totalprice"].to_numpy(np.float64),
                 "avg_cents": np.round(mv[keep], 6),
             }
         )
 
-    return (
-        orders.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(filter_bucket, batch_format="pandas")
+    return bucketed(
+        orders.map_batches(cents, batch_format="pyarrow"), "o_custkey", B,
+        filter_bucket,
     )
 
 
@@ -1774,13 +1588,13 @@ def q_cumulative_revenue(sf_dir: str):
     ORDER BY ...)`` window verb that lifetime-value and budget-cap
     pipelines run.
 
-    Shape = ``events.q_event_deltas``: customers co-bucket by
-    ``custkey & (B-1)`` into ONE size-derived ``groupby(bucket)``
-    shuffle, then each bucket sorts its own rows once and computes a
-    SEGMENTED cumulative sum fully vectorized (global ``np.cumsum``
-    minus each run's starting offset via ``np.repeat``) — no per-key
-    Python loop.  All arithmetic in exact integer cents ⇒ hash-exact
-    vs the SQL window oracle at any batch split.
+    Shape = ``events.q_event_deltas``: customers hash-bucket on custkey
+    through ONE size-derived :func:`bucketed` exchange, then each
+    bucket sorts its own rows once and computes a SEGMENTED cumulative
+    sum fully vectorized (global ``np.cumsum`` minus each run's
+    starting offset via ``np.repeat``) — no per-key Python loop.  All
+    arithmetic in exact integer cents ⇒ hash-exact vs the SQL window
+    oracle at any batch split.
 
     Scale posture: B size-derived ⇒ bounded per-group memory and
     input-proportional parallelism; no salting — a key's ordered run
@@ -1793,12 +1607,9 @@ def q_cumulative_revenue(sf_dir: str):
                    ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"])
 
     def tag(t: pa.Table) -> pa.Table:
-        k = pc.cast(t["o_custkey"], pa.int64())
         return pa.table(
             {
-                "bucket": pc.cast(pc.bit_wise_and(k, pa.scalar(B - 1)),
-                                  pa.int32()),
-                "o_custkey": k,
+                "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
                 "o_orderkey": pc.cast(t["o_orderkey"], pa.int64()),
                 "date_us": pc.cast(t["o_orderdate"], pa.int64()),
                 "cents": pc.cast(pc.round(pc.multiply(t["o_totalprice"],
@@ -1826,10 +1637,9 @@ def q_cumulative_revenue(sf_dir: str):
             }
         )
 
-    return (
-        orders.map_batches(tag, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(scan_bucket, batch_format="pandas")
+    return bucketed(
+        orders.map_batches(tag, batch_format="pyarrow"), "o_custkey", B,
+        scan_bucket,
     )
 
 
@@ -1854,22 +1664,18 @@ def q_ntile_price(sf_dir: str):
     quartile-assignment verb behind price-banding and balanced binning.
 
     Shape = ``q_global_rank``: the sort key value-range-partitions rows
-    (bucket = floor(price) // NTILE_BUCKET_DOLLARS), phase 1 reduces
-    each bucket to a count, the driver prefix-sums those ≤ |buckets|
-    scalars (plus the grand total n, which the tile boundaries need)
-    and broadcasts them, and phase 2 sorts WITHIN each bucket only and
-    maps each global 0-based rank r to its SQL NTILE tile: the first
-    ``n % k`` tiles take ``n//k + 1`` rows, the rest ``n//k`` — exact
-    integer arithmetic both sides.  At 100 TB the bucket histogram
-    comes from a sampled quantile sketch, as in q_global_rank."""
-    import pandas as pd
-
+    (bucket = floor(price) // NTILE_BUCKET_DOLLARS), and
+    :func:`_range_ranked` sorts WITHIN each bucket only and hands it
+    the rows before it plus the grand total n, which the tile
+    boundaries need.  Each global 0-based rank r maps to its SQL NTILE
+    tile: the first ``n % k`` tiles take ``n//k + 1`` rows, the rest
+    ``n//k`` — exact integer arithmetic both sides."""
     parts = _read(sf_dir, "part", ["p_partkey", "p_retailprice"])
 
     def tag(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "bucket": pc.cast(
+                BUCKET: pc.cast(
                     pc.floor(pc.divide(t["p_retailprice"],
                                        pa.scalar(float(NTILE_BUCKET_DOLLARS)))),
                     pa.int64(),
@@ -1879,23 +1685,7 @@ def q_ntile_price(sf_dir: str):
             }
         )
 
-    tagged = parts.map_batches(tag, batch_format="pyarrow").materialize()
-
-    bm = (
-        tagged.groupby("bucket")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-        .sort_values("bucket")  # tile order is price ASC
-    )
-    counts = bm["n"].to_numpy(np.int64)
-    n_total = int(counts.sum())
-    prefix = np.concatenate([[np.int64(0)], np.cumsum(counts)[:-1]])
-    seeds = {int(b): int(p) for b, p in zip(bm["bucket"], prefix)}
-    small = ray.put((seeds, n_total))
-
-    def tile_bucket(g: pd.DataFrame) -> pa.Table:
-        seeds_, n = ray.get(small)
-        seed = seeds_[int(g["bucket"].iloc[0])]
+    def tile_bucket(g, seed: int, n: int) -> pa.Table:
         g = g.sort_values(["p_retailprice", "p_partkey"])
         r = seed + np.arange(len(g), dtype=np.int64)  # 0-based global rank
         q, rem = divmod(n, NTILE_K)
@@ -1915,9 +1705,7 @@ def q_ntile_price(sf_dir: str):
             }
         )
 
-    return tagged.groupby("bucket").map_groups(
-        tile_bucket, batch_format="pandas"
-    )
+    return _range_ranked(parts.map_batches(tag, batch_format="pyarrow"), tile_bucket)
 
 
 SQL_NTILE_PRICE = f"""
@@ -1984,17 +1772,16 @@ def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None):
       2. probe — every lineitem block tests its partkeys against the
          shared bits vectorized; false positives survive, misses
          (guaranteed correct) are dropped, typically >90 % of rows.
-      3. verify — survivors and true build keys co-bucket by
-         ``key & (B-1)`` into one size-derived ``groupby(bucket)``;
-         each group keeps survivors whose key is actually present
-         (``pd.Series.isin``).  The shuffle moves only survivors, which
-         is the entire point of stage 2.
+      3. verify — survivors and true build keys co-bucket on the
+         partkey through one size-derived :func:`cobucketed` exchange;
+         each bucket keeps survivors whose key is actually present
+         (``pc.is_in``).  The shuffle moves only survivors, which is
+         the entire point of stage 2.
 
     Exactness: Bloom filters have no false negatives, and stage 3
     removes the false positives, so the result equals the plain SQL
     semi join for ANY m_bits (a unit test forces a tiny, collision-
     heavy filter and checks invariance)."""
-    import pandas as pd
     import pyarrow.dataset as pads
 
     build = read_parquet_clean(
@@ -2023,53 +1810,33 @@ def q_bloom_semi_join(sf_dir: str, m_bits: int | None = None):
 
     B = bucket_count(parquet_rows(f"{sf_dir}/lineitem.parquet"))
 
-    def probe(t: pa.Table) -> pa.Table:
+    def survivors(t: pa.Table) -> pa.Table:
         keys = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         t = t.filter(pa.array(_bloom_maybe(keys, ray.get(bits_ref), m_bits)))
-        k = pc.cast(t["l_partkey"], pa.int64())
         return pa.table(
             {
-                "bucket": pc.cast(pc.bit_wise_and(k, pa.scalar(B - 1)),
-                                  pa.int32()),
-                "l_partkey": k,
-                "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
+                "l_orderkey": t["l_orderkey"],
                 "l_linenumber": pc.cast(t["l_linenumber"], pa.int64()),
+                "l_partkey": t["l_partkey"],
             }
         )
 
-    def tag_build(t: pa.Table) -> pa.Table:
-        k = pc.cast(t["p_partkey"], pa.int64())
-        return pa.table(
-            {
-                "bucket": pc.cast(pc.bit_wise_and(k, pa.scalar(B - 1)),
-                                  pa.int32()),
-                "l_partkey": k,
-                "l_orderkey": pa.array(np.full(t.num_rows, -1, np.int64)),
-                "l_linenumber": pa.array(np.zeros(t.num_rows, np.int64)),
-            }
-        )
+    def verify(built: pa.Table, rows: pa.Table) -> pa.Table:
+        if built.num_rows == 0 or rows.num_rows == 0:
+            return pa.schema(
+                {"l_orderkey": pa.int64(), "l_linenumber": pa.int64(),
+                 "l_partkey": pa.int64()}
+            ).empty_table()
+        present = built["l_partkey"].combine_chunks()
+        return rows.filter(pc.is_in(rows["l_partkey"], value_set=present))
 
-    survivors = _read(
+    lineitem = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_partkey"]
-    ).map_batches(probe, batch_format="pyarrow")
-    keys_tagged = build.map_batches(tag_build, batch_format="pyarrow")
-
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        present = g.loc[g["l_orderkey"] < 0, "l_partkey"]
-        rows = g[g["l_orderkey"] >= 0]
-        rows = rows[rows["l_partkey"].isin(set(present))]
-        return pd.DataFrame(
-            {
-                "l_orderkey": rows["l_orderkey"].to_numpy(np.int64),
-                "l_linenumber": rows["l_linenumber"].to_numpy(np.int64),
-                "l_partkey": rows["l_partkey"].to_numpy(np.int64),
-            }
-        )
-
-    return (
-        survivors.union(keys_tagged)
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
+    )
+    return cobucketed(
+        (build, lambda t: pa.table({"l_partkey": t["p_partkey"]})),
+        (lineitem, survivors), "l_partkey", B, verify,
+        batch_format="pyarrow",
     )
 
 
@@ -2094,7 +1861,7 @@ def q_first_last_orders(sf_dir: str):
     (epoch-day, orderkey) into one int64 (day·2³² + key, exact: day
     < 2²⁰, key < 2³²), reduces per customer to (min, max, count)
     partials inside ``map_batches`` (arrow ``group_by`` per block),
-    and ONE size-derived hash-bucket exchange combines partials with
+    and ONE size-derived :func:`bucketed` exchange combines partials with
     the SAME min/max/sum, vectorized across the whole bucket (one
     pandas groupby per bucket, not one Python call per customer) —
     associative, so any split of the input yields identical results.  The shuffle carries ≤ |distinct keys|
@@ -2112,7 +1879,7 @@ def q_first_last_orders(sf_dir: str):
                         pa.scalar(86_400_000_000))
         ck = pc.add(pc.multiply(day, pa.scalar(int(_FL_SHIFT))),
                     pc.cast(t["o_orderkey"], pa.int64()))
-        part = (
+        return (
             pa.table(
                 {
                     "o_custkey": pc.cast(t["o_custkey"], pa.int64()),
@@ -2123,18 +1890,7 @@ def q_first_last_orders(sf_dir: str):
             )
             .group_by("o_custkey")
             .aggregate([("lo", "min"), ("hi", "max"), ("n", "sum")])
-        )
-        keys = part["o_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    (keys.astype(np.int64) & (B - 1)).astype(np.int32)
-                ),
-                "o_custkey": part["o_custkey"],
-                "lo": part["lo_min"],
-                "hi": part["hi_max"],
-                "n": part["n_sum"],
-            }
+            .rename_columns(["o_custkey", "lo", "hi", "n"])
         )
 
     def combine_bucket(g: pd.DataFrame) -> pa.Table:
@@ -2157,10 +1913,9 @@ def q_first_last_orders(sf_dir: str):
             }
         )
 
-    return (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(combine_bucket, batch_format="pandas")
+    return bucketed(
+        orders.map_batches(partial, batch_format="pyarrow"), "o_custkey", B,
+        combine_bucket,
     )
 
 
@@ -2513,7 +2268,7 @@ def q_profile_orders(sf_dir: str):
     yields NULL min/max like SQL; a tiny driver merge finishes.
     (2) Distinct: per-block ``pc.unique`` partials per column (value
     space cast to string — injective for ints, so counts are
-    unchanged), then ONE size-derived ``groupby(hash(v) & (B-1))``
+    unchanged), then ONE size-derived :func:`bucketed` exchange on v
     where each bucket drop-duplicates (col, v) and emits per-col count
     partials — every (col, v) pair lives in exactly one bucket, so the
     partials are additive and the driver stitches |cols|×B scalars.
@@ -2595,30 +2350,25 @@ def q_profile_orders(sf_dir: str):
     )
 
     def distinct_partial(t: pa.Table) -> pa.Table:
-        cols, vals, buckets = [], [], []
+        cols, vals = [], []
         for col in PROFILE_COLS:
             u = pc.unique(pc.drop_null(
                 pc.cast(t[col].combine_chunks(), pa.string())
             ))
             cols.append(pa.array([col] * len(u), pa.string()))
             vals.append(u)
-            # deterministic vectorized string hash (siphash with
-            # pandas' fixed default key — stable across processes)
-            h = pd.util.hash_array(u.to_numpy(zero_copy_only=False))
-            buckets.append(pa.array((h & (NB - 1)).astype(np.int32)))
         return pa.table(
             {
-                "bucket": pa.chunked_array(buckets, pa.int32()),
                 "col_name": pa.chunked_array(cols, pa.string()),
                 "v": pa.chunked_array(vals, pa.string()),
             }
         )
 
     def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # bucket = hash(v) & (NB-1): every occurrence of a (col, v)
-        # pair is in this one bucket, so one vectorized drop_duplicates
-        # + size() yields additive per-col distinct-count partials —
-        # |cols| rows out per bucket, never a per-value Python call
+        # every occurrence of a (col, v) pair is in v's one bucket, so
+        # one vectorized drop_duplicates + size() yields additive
+        # per-col distinct-count partials — |cols| rows out per bucket,
+        # never a per-value Python call
         out = (
             g.drop_duplicates(["col_name", "v"])
             .groupby("col_name", as_index=False)
@@ -2629,12 +2379,10 @@ def q_profile_orders(sf_dir: str):
              "n": out["size"].astype(np.int64)}
         )
 
-    dpdf = (
-        orders.map_batches(distinct_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    dpdf = bucketed(
+        orders.map_batches(distinct_partial, batch_format="pyarrow"), "v", NB,
+        count_bucket,
+    ).to_pandas()
     if len(dpdf) == 0 or "n" not in dpdf.columns:
         # every profiled column all-NULL (or an empty table): no
         # distinct partials exist at all
@@ -2694,10 +2442,10 @@ def q_local_supplier_volume(sf_dir: str):
     TWO broadcast int arrays (custkey→nationkey, suppkey→nationkey,
     both pruned to the region before ``ray.put``) — three of the five
     joins never shuffle; the date filter pushes into the orders read;
-    the only exchange is the shared size-derived ``key & (B-1)``
-    orderkey co-bucketing of orders (carrying c_nationkey) against
-    per-block (orderkey, s_nationkey) integer-cents partials of
-    lineitem; the same-nation equality applies inside the bucket and
+    the only exchange is the size-derived :func:`cobucketed` orderkey
+    co-bucketing of orders (carrying c_nationkey) against per-block
+    (orderkey, s_nationkey) integer-cents partials of lineitem; the
+    same-nation equality applies inside the bucket and
     a ≤25-row groupby finishes.  Hot orderkeys salt exactly as
     `q_revenue_by_segment` (additive cents partials)."""
     import pandas as pd
@@ -2741,27 +2489,15 @@ def q_local_supplier_volume(sf_dir: str):
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
 
-    def tag_orders(t: pa.Table) -> pa.Table:
+    def orders_side(t: pa.Table) -> pa.Table:
         keys, nats = ray.get(cust_ref)
-        idx = pc.index_in(t["o_custkey"], value_set=keys)
-        cnat = pc.take(nats, idx)
+        cnat = pc.take(nats, pc.index_in(t["o_custkey"], value_set=keys))
         keep = pc.is_valid(cnat)  # customer outside the region → drop
-        k = pc.filter(t["o_orderkey"], keep).to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        cnat = pc.filter(cnat, keep)
-        ridx, bucket = _salted_buckets(k, B, S, replicate=True)
         return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k[ridx], pa.int64()),
-                "side": pa.array(["o"] * len(ridx), pa.string()),
-                "nat": pc.take(cnat, pa.array(ridx)),
-                "cents": pa.array(np.zeros(len(ridx), np.int64)),
-            }
+            {"key": pc.filter(t["o_orderkey"], keep), "nat": pc.filter(cnat, keep)}
         )
 
-    def tag_lineitem(t: pa.Table) -> pa.Table:
+    def lineitem_side(t: pa.Table) -> pa.Table:
         keys, nats = ray.get(supp_ref)
         idx = pc.index_in(t["l_suppkey"], value_set=keys)
         snat = pc.take(nats, idx)
@@ -2776,7 +2512,7 @@ def q_local_supplier_volume(sf_dir: str):
             ),
             pa.int64(),
         )
-        part = (
+        return (
             pa.table(
                 {
                     "key": pc.filter(t["l_orderkey"], keep),
@@ -2786,42 +2522,24 @@ def q_local_supplier_volume(sf_dir: str):
             )
             .group_by(["key", "nat"])
             .aggregate([("cents", "sum")])
-        )
-        k = part["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, bucket = _salted_buckets(k, B, S, replicate=False)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k, pa.int64()),
-                "side": pa.array(["l"] * part.num_rows, pa.string()),
-                "nat": part["nat"],
-                "cents": part["cents_sum"],
-            }
+            .rename_columns(["key", "nat", "cents"])
         )
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pyarrow")
-    )
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == "o"][["key", "nat"]]
-        right = g[g["side"] == "l"][["key", "nat", "cents"]]
-        m = right.merge(left, on="key", how="inner",
-                        suffixes=("_s", "_c"))
-        m = m[m["nat_s"] == m["nat_c"]]  # same-nation constraint
+    def join_bucket(o: pd.DataFrame, l: pd.DataFrame):
+        m = _inner_merge(l, o, suffixes=("_s", "_c"))
+        if len(m):
+            m = m[m["nat_s"] == m["nat_c"]]  # same-nation constraint
         if len(m) == 0:
-            return pd.DataFrame(
-                {"nat": pd.Series(dtype="int64"),
-                 "cents": pd.Series(dtype="int64")}
-            )
+            return pa.schema({"nat": pa.int64(), "cents": pa.int64()}).empty_table()
         out = m.groupby("nat_s", as_index=False)["cents"].sum()
         return pd.DataFrame(
             {"nat": out["nat_s"].to_numpy(np.int64),
              "cents": out["cents"].to_numpy(np.int64)}
         )
 
-    partial = tagged.groupby("bucket").map_groups(
-        join_bucket, batch_format="pandas"
+    partial = cobucketed(
+        (orders, orders_side), (lineitem, lineitem_side), "key", B,
+        join_bucket, salt=S,
     )
     # final merge on the driver: ≤ B × |region nations| additive rows
     # (domain-bounded) — a second sort-shuffle for a ≤25-group
@@ -2870,22 +2588,17 @@ def q_percent_rank_price(sf_dir: str):
     Shape = ``q_ntile_price``: rows value-range-partition by price band
     (the bucket is a FUNCTION of the sort key, so tied prices can never
     straddle buckets and the min-rank of a tie group is within-bucket
-    computable), phase 1 reduces each bucket to a count, the driver
-    prefix-sums those ≤ |buckets| scalars plus the grand total, and
-    phase 2 sorts within each bucket only: global RANK (ties → min) =
-    bucket seed + within-bucket min-rank, and
-    ``pr = (rank - 1) / (n - 1)`` — both sides divide the same exact
-    integers in float64, so the result is IEEE-identical to the SQL
-    window.  At 100 TB the bucket histogram comes from a sampled
-    quantile sketch, as in ``q_global_rank``."""
-    import pandas as pd
-
+    computable), and :func:`_range_ranked` sorts within each bucket
+    only: global RANK (ties → min) = bucket seed + within-bucket
+    min-rank, and ``pr = (rank - 1) / (n - 1)`` — both sides divide the
+    same exact integers in float64, so the result is IEEE-identical to
+    the SQL window."""
     parts = _read(sf_dir, "part", ["p_partkey", "p_retailprice"])
 
     def tag(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "bucket": pc.cast(
+                BUCKET: pc.cast(
                     pc.floor(pc.divide(t["p_retailprice"],
                                        pa.scalar(float(PR_BUCKET_DOLLARS)))),
                     pa.int64(),
@@ -2895,23 +2608,7 @@ def q_percent_rank_price(sf_dir: str):
             }
         )
 
-    tagged = parts.map_batches(tag, batch_format="pyarrow").materialize()
-
-    bm = (
-        tagged.groupby("bucket")
-        .aggregate(Count(alias_name="n"))
-        .to_pandas()
-        .sort_values("bucket")
-    )
-    counts = bm["n"].to_numpy(np.int64)
-    n_total = int(counts.sum())
-    prefix = np.concatenate([[np.int64(0)], np.cumsum(counts)[:-1]])
-    seeds = {int(b): int(p) for b, p in zip(bm["bucket"], prefix)}
-    small = ray.put((seeds, n_total))
-
-    def rank_bucket(g: pd.DataFrame) -> pa.Table:
-        seeds_, n = ray.get(small)
-        seed = seeds_[int(g["bucket"].iloc[0])]
+    def rank_bucket(g, seed: int, n: int) -> pa.Table:
         price = g["p_retailprice"].to_numpy(np.float64)
         order = np.argsort(price, kind="stable")
         sp = price[order]
@@ -2931,9 +2628,7 @@ def q_percent_rank_price(sf_dir: str):
             }
         )
 
-    return tagged.groupby("bucket").map_groups(
-        rank_bucket, batch_format="pandas"
-    )
+    return _range_ranked(parts.map_batches(tag, batch_format="pyarrow"), rank_bucket)
 
 
 SQL_PERCENT_RANK_PRICE = """
@@ -3385,10 +3080,10 @@ def q_shipping_priority(sf_dir: str):
     Plan for 100 TB: customers collapse to a pruned int64 custkey SET
     broadcast once via ``ray.put`` (segment selectivity ~1/5 — ids
     only, no shuffle); orders push the date filter into the scan, drop
-    non-segment customers against the broadcast, and co-bucket by
-    ``orderkey & (B-1)`` carrying (orderdate, priority); lineitem
-    pre-aggregates per block to (orderkey → exact 1e-4-dollar revenue
-    partial) before the same bucketing, with hot orderkeys salted by
+    non-segment customers against the broadcast, and co-bucket on the
+    orderkey through :func:`cobucketed` carrying (orderdate, priority)
+    against lineitem pre-aggregated per block to (orderkey → exact
+    1e-4-dollar revenue partial), with hot orderkeys salted by
     `auto_salt_count`.  Each bucket joins and emits only its local
     top-10, so the driver merge touches ≤ B·S·10 rows at any scale."""
     import datetime
@@ -3421,64 +3116,36 @@ def q_shipping_priority(sf_dir: str):
         filter=pads.field("l_shipdate") > d,
     )
 
-    def tag_orders(t: pa.Table) -> pa.Table:
+    def orders_side(t: pa.Table) -> pa.Table:
         keep = pc.is_valid(pc.index_in(t["o_custkey"], value_set=ray.get(cust_ref)))
         t = t.filter(keep)
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ridx, bucket = _salted_buckets(k, B, S, replicate=True)
-        ridx_a = pa.array(ridx)
         return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k[ridx], pa.int64()),
-                "side": pa.array(["o"] * len(ridx), pa.string()),
-                "odate": pc.take(t["o_orderdate"], ridx_a),
-                "prio": pc.take(t["o_orderpriority"], ridx_a),
-                "rev_e4": pa.array(np.zeros(len(ridx), np.int64)),
-            }
+            {"key": t["o_orderkey"], "odate": t["o_orderdate"],
+             "prio": t["o_orderpriority"]}
         )
 
-    def tag_lineitem(t: pa.Table) -> pa.Table:
+    def lineitem_side(t: pa.Table) -> pa.Table:
         cents = pc.cast(pc.round(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64())
         dpct = pc.cast(pc.round(pc.multiply(t["l_discount"], 100.0)), pa.int64())
         e4 = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()), dpct))
-        part = (
+        return (
             pa.table({"key": t["l_orderkey"], "rev_e4": e4})
             .group_by("key")
             .aggregate([("rev_e4", "sum")])
             .rename_columns(["key", "rev_e4"])
         )
-        k = part["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        _, bucket = _salted_buckets(k, B, S, replicate=False)
-        n = part.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k, pa.int64()),
-                "side": pa.array(["l"] * n, pa.string()),
-                "odate": pa.nulls(n, pa.timestamp("us")),
-                "prio": pa.nulls(n, pa.string()),
-                "rev_e4": part["rev_e4"],
-            }
-        )
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pyarrow")
-    )
-
-    def bucket_topn(g: pd.DataFrame) -> pd.DataFrame:
-        left = g[g["side"] == "o"][["key", "odate", "prio"]]
-        right = g[g["side"] == "l"][["key", "rev_e4"]]
-        m = right.merge(left, on="key", how="inner")
+    def bucket_topn(o: pd.DataFrame, l: pd.DataFrame):
+        m = _inner_merge(l, o)
         if len(m) == 0:
-            return pd.DataFrame(
+            return pa.schema(
                 {
-                    "l_orderkey": pd.Series(dtype="int64"),
-                    "rev_e4": pd.Series(dtype="int64"),
-                    "o_orderdate": pd.Series(dtype="datetime64[us]"),
-                    "o_orderpriority": pd.Series(dtype="object"),
+                    "l_orderkey": pa.int64(),
+                    "rev_e4": pa.int64(),
+                    "o_orderdate": pa.timestamp("us"),
+                    "o_orderpriority": pa.string(),
                 }
-            )
+            ).empty_table()
         agg = m.groupby(["key", "odate", "prio"], as_index=False)["rev_e4"].sum()
         agg = agg.sort_values(["rev_e4", "key"], ascending=[False, True]).head(Q3_TOPN)
         return pd.DataFrame(
@@ -3490,8 +3157,9 @@ def q_shipping_priority(sf_dir: str):
             }
         )
 
-    partial = tagged.groupby("bucket").map_groups(
-        bucket_topn, batch_format="pandas"
+    partial = cobucketed(
+        (orders, orders_side), (lineitem, lineitem_side), "key", B,
+        bucket_topn, salt=S,
     )
     # driver merge over ≤ B·S·10 candidate rows (bounded at any scale);
     # salted sub-buckets of one key hold additive partials, so re-sum
@@ -3640,8 +3308,9 @@ def q_large_orders(sf_dir: str):
     the survivors" plan.
 
     Plan for 100 TB: lineitem pre-aggregates (orderkey → int qty sum)
-    per block, co-buckets by ``orderkey & (B-1)`` (additive partials —
-    salting-safe), and each bucket emits only keys over the threshold;
+    per block, hash-buckets on the orderkey through :func:`bucketed`
+    (additive partials — salting-safe), and each bucket emits only keys
+    over the threshold;
     the survivor set is tiny BY CONSTRUCTION (having-selectivity ~1 %),
     so it broadcasts back via ``ray.put`` and both rehydration joins
     (orders header, customer name) are broadcast-semi scans — the only
@@ -3654,16 +3323,11 @@ def q_large_orders(sf_dir: str):
 
     def qty_partial(t: pa.Table) -> pa.Table:
         qty = pc.cast(pc.round(t["l_quantity"]), pa.int64())
-        part = (
+        return (
             pa.table({"key": t["l_orderkey"], "qty": qty})
             .group_by("key")
             .aggregate([("qty", "sum")])
             .rename_columns(["key", "qty"])
-        )
-        bucket = pc.bit_wise_and(part["key"], pa.scalar(B - 1, pa.int64()))
-        return pa.table(
-            {"bucket": pc.cast(bucket, pa.int32()), "key": part["key"],
-             "qty": part["qty"]}
         )
 
     def bucket_survivors(g: pd.DataFrame) -> pd.DataFrame:
@@ -3674,12 +3338,10 @@ def q_large_orders(sf_dir: str):
              "sum_qty": agg["qty"].to_numpy(np.int64)}
         )
 
-    surv = (
-        li.map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_survivors, batch_format="pandas")
-        .to_pandas()
-    )
+    surv = bucketed(
+        li.map_batches(qty_partial, batch_format="pyarrow"), "key", B,
+        bucket_survivors,
+    ).to_pandas()
     if len(surv) == 0:
         return pa.table(
             {
@@ -3762,7 +3424,7 @@ def q_order_count_distribution(sf_dir: str):
 
     Shape: the fact table never joins — each block pre-aggregates its
     own ``o_custkey`` value_counts (arrow ``group_by``), ONE
-    custkey-hash-bucketed ``map_groups`` merges the partials into
+    custkey :func:`bucketed` exchange merges the partials into
     exact per-customer counts AND collapses each bucket to its local
     count-histogram (c_count, n) — so the second aggregate's input is
     buckets × |distinct counts| rows, merged on the driver (order
@@ -3778,23 +3440,11 @@ def q_order_count_distribution(sf_dir: str):
     n_customers = parquet_rows(f"{sf_dir}/customer.parquet")
 
     def partial(t: pa.Table) -> pa.Table:
-        g = (
+        return (
             pa.table({"k": t["o_custkey"]})
             .group_by("k")
             .aggregate([([], "count_all")])
             .rename_columns(["k", "c"])
-        )
-        k = g["k"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(
-                    (k.astype(np.uint64) * 0x9E3779B97F4A7C15
-                     >> 32).astype(np.int64) & (NB - 1),
-                    pa.int32(),
-                ),
-                "k": pa.array(k, pa.int64()),
-                "c": pc.cast(g["c"], pa.int64()),
-            }
         )
 
     def hist_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -3803,12 +3453,10 @@ def q_order_count_distribution(sf_dir: str):
         out.columns = ["c_count", "n"]
         return out.astype({"c_count": "int64", "n": "int64"})
 
-    parts = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(hist_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = bucketed(
+        orders.map_batches(partial, batch_format="pyarrow"), "k", NB,
+        hist_bucket,
+    ).to_pandas()
     if len(parts) == 0:
         hist = pd.DataFrame({"c_count": [np.int64(0)],
                              "custdist": [np.int64(n_customers)]})
@@ -3900,25 +3548,10 @@ def q_returned_items(sf_dir: str):
         filter=pads.field("l_returnflag") == "R",
     )
 
-    def tag_orders(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ridx, bucket = _salted_buckets(k, B, S, replicate=True)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k[ridx], pa.int64()),
-                "side": pa.array(["o"] * len(ridx), pa.string()),
-                "custkey": pc.take(
-                    pc.cast(t["o_custkey"], pa.int64()), pa.array(ridx)
-                ),
-                # 0, not NULL, for the lane a side lacks: a NULL turns
-                # the int64 column float64 in the pandas join, rounding
-                # revenues above 2^53
-                "rev": pa.array(np.zeros(len(ridx), np.int64)),
-            }
-        )
+    def orders_side(t: pa.Table) -> pa.Table:
+        return pa.table({"key": t["o_orderkey"], "custkey": t["o_custkey"]})
 
-    def tag_lineitem(t: pa.Table) -> pa.Table:
+    def lineitem_side(t: pa.Table) -> pa.Table:
         # exact integer revenue lane: cents × (100 − basis points)
         cents = pc.cast(
             pc.round(pc.multiply(t["l_extendedprice"], 100.0)), pa.int64()
@@ -3928,45 +3561,19 @@ def q_returned_items(sf_dir: str):
         )
         rev = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()), bp))
         # per-block (orderkey, rev) pre-agg before the exchange
-        g = (
+        return (
             pa.table({"key": t["l_orderkey"], "rev": rev})
             .group_by("key")
             .aggregate([("rev", "sum")])
             .rename_columns(["key", "rev"])
         )
-        k = g["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-        idx, bucket = _salted_buckets(k, B, S, replicate=False)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket, pa.int32()),
-                "key": pa.array(k[idx], pa.int64()),
-                "side": pa.array(["l"] * len(idx), pa.string()),
-                "custkey": pa.array(np.zeros(len(idx), np.int64)),
-                "rev": pc.take(g["rev"], pa.array(idx)),
-            }
-        )
 
-    tagged = orders.map_batches(tag_orders, batch_format="pyarrow").union(
-        lineitem.map_batches(tag_lineitem, batch_format="pyarrow")
-    )
-
-    _empty_cr = pa.table(
-        {"custkey": pa.array([], pa.int64()), "rev": pa.array([], pa.int64())}
-    )
-
-    # arrow out with stripped metadata — pandas-schema'd blocks defeat
-    # Ray's schema-dedup in the downstream groupby (traindata.py:221)
-    def join_bucket(g: pd.DataFrame) -> pa.Table:
-        left = g[g["side"] == "o"][["key", "custkey"]]
-        right = g[g["side"] == "l"][["key", "rev"]]
-        m = right.merge(left, on="key", how="inner")
+    def join_bucket(o: pd.DataFrame, l: pd.DataFrame):
+        m = _inner_merge(l, o)
         if len(m) == 0:
-            return _empty_cr
+            return pa.schema({"custkey": pa.int64(), "rev": pa.int64()}).empty_table()
         out = m.groupby("custkey", as_index=False)["rev"].sum()
-        out = out.astype({"custkey": "int64", "rev": "int64"})
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
+        return out.astype({"custkey": "int64", "rev": "int64"})
 
     def top_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("custkey", as_index=False)["rev"].sum()
@@ -3974,8 +3581,9 @@ def q_returned_items(sf_dir: str):
             ["rev", "custkey"], ascending=[False, True]
         ).head(Q10_TOPN)
 
-    joined = tagged.groupby("bucket").map_groups(
-        join_bucket, batch_format="pandas"
+    joined = cobucketed(
+        (orders, orders_side), (lineitem, lineitem_side), "key", B,
+        join_bucket, salt=S,
     )
     # buckets × 20 candidate rows
     cands = bucketed(joined, "custkey", B, top_bucket).to_pandas()

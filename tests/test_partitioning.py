@@ -106,6 +106,17 @@ FORCED = [
     ("vocab_head_coverage", traindata.q_vocab_head_coverage),
     ("rare_token_docs", textpipe.q_rare_token_docs),
     ("returned_items", relational.q_returned_items),
+    ("join_full", relational.q_join_full),
+    ("bloom_semi_join", relational.q_bloom_semi_join),
+    ("local_supplier_volume", relational.q_local_supplier_volume),
+    ("shipping_priority", relational.q_shipping_priority),
+    ("except_parts", relational.q_except_parts),
+    ("above_avg_orders", relational.q_above_avg_orders),
+    ("cumulative_revenue", relational.q_cumulative_revenue),
+    ("first_last_orders", relational.q_first_last_orders),
+    ("profile_orders", relational.q_profile_orders),
+    ("large_orders", relational.q_large_orders),
+    ("order_count_distribution", relational.q_order_count_distribution),
 ]
 
 
@@ -121,17 +132,23 @@ def test_bucket_count_invariance(ray_session, monkeypatch, name, fn):
     pd.testing.assert_frame_equal(base, forced)
 
 
+SALTED = [
+    relational.q_join_shuffle,
+    relational.q_revenue_by_segment,
+    relational.q_local_supplier_volume,
+    relational.q_shipping_priority,
+    relational.q_returned_items,
+]
+
+
 @pytest.mark.slow
 def test_salted_join_invariance(ray_session, monkeypatch):
     """GRAFT_JOIN_SALT=4 splits hot keys across sub-buckets on the
     additive-partial joins; results must not change."""
-    base_js = _df(relational.q_join_shuffle(SF))
-    base_rs = _df(relational.q_revenue_by_segment(SF))
+    base = [_df(fn(SF)) for fn in SALTED]
     monkeypatch.setenv("GRAFT_JOIN_SALT", "4")
-    pd.testing.assert_frame_equal(base_js, _df(relational.q_join_shuffle(SF)))
-    pd.testing.assert_frame_equal(
-        base_rs, _df(relational.q_revenue_by_segment(SF))
-    )
+    for fn, want in zip(SALTED, base):
+        pd.testing.assert_frame_equal(want, _df(fn(SF)), obj=fn.__name__)
 
 
 # -- automatic hot-key salting (r4 verdict #2) ---------------------------------
